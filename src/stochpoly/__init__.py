@@ -8,7 +8,6 @@ LP certificates, enumerating all vertices for small n by two independent
 methods, evaluating the known vertex-count bounds, and decomposing doubly
 stochastic matrices.
 """
-from ._kernels import BACKEND as kernel_backend
 from .birkhoff import Decomposition, DoublyStochasticMatrix, decompose, find_positive_matching
 from .bounds import (
     BoundReport,
@@ -54,6 +53,10 @@ from .tensor import (
 )
 
 __version__ = "0.1.0"
+
+#: name of the elimination kernel, the batched numpy one; benchmark runs
+#: record it so that only runs of the same kernel are compared
+kernel_backend = "pure"
 
 __all__ = [
     "kernel_backend",

@@ -1,26 +1,28 @@
-"""Pure-Python lane of the hot enumeration kernel.
+"""Exact elimination kernels: integer rank, and the brute-force vertex oracle.
 
 The brute-force vertex oracle solves one exact linear system per candidate
-active set: C(n^3, 3n^2-3n+1) systems, about 2.2 million at n = 3. This lane
-runs fraction-free Gauss-Jordan elimination vectorized over batches of
-subsets with numpy int64 arithmetic. Intermediate entries of the elimination
-are minors of a 0/1 system augmented with a 0/1 right-hand side, so they are
+active set: C(n^3, 3n^2-3n+1) systems, about 2.2 million at n = 3. It runs
+fraction-free Gauss-Jordan elimination vectorized over batches of subsets
+with numpy int64 arithmetic. Intermediate entries of the elimination are
+minors of a 0/1 system augmented with a 0/1 right-hand side, so they are
 bounded far below 2^30 (the worst 20x20 0/1 determinant is under 10^8); the
 guard below still checks the bound on every step and raises OverflowError
-rather than silently wrapping, in which case the caller retries the affected
-range with unbounded Python integers.
+rather than silently wrapping, in which case the affected batch is redone
+with unbounded Python integers.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from math import gcd
+from typing import Sequence
 
 import numpy as np
 
-BACKEND = "pure"
-
 # entries above this make the next step's products unsafe for int64
 _GUARD = 1 << 30
+
+# candidate subsets eliminated together in one numpy batch
+_BATCH = 8192
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
@@ -108,39 +110,60 @@ def solve_for_free_columns(
 def basic_feasible_solutions(
     a_rows: Sequence[Sequence[int]],
     rank: int,
-    batch: int = 8192,
     subset_limit: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """All basic feasible solutions of {A x = 1, x >= 0}.
+) -> list[tuple[int, tuple[int, ...]]]:
+    """All basic feasible solutions of {A x = 1, x >= 0}, deduplicated.
 
-    Iterates size-``rank`` free-column subsets in lexicographic order and
-    yields (free_cols, den, numerators) whenever the restricted system has a
-    unique nonnegative solution; the solution over the free columns is
-    numerators/den, all other coordinates are zero. ``subset_limit`` stops
-    after that many candidate subsets (resource cap support).
+    Tries the size-``rank`` free-column subsets in lexicographic order; a
+    subset contributes when the restricted system has a unique nonnegative
+    solution, all other coordinates being zero. ``subset_limit`` stops after
+    that many candidate subsets (resource cap support).
+
+    Returns a sorted list of (den, numerators) pairs: the solution vector is
+    numerators/den with den > 0 and gcd(den, *numerators) = 1.
     """
     a = np.asarray(a_rows, dtype=np.int64)
-    m, nc = a.shape
-    r = rank
-    combos: Iterable = itertools.combinations(range(nc), r)
+    nc = a.shape[1]
+    combos = itertools.combinations(range(nc), rank)
     if subset_limit is not None:
         combos = itertools.islice(combos, subset_limit)
-    while True:
-        chunk = list(itertools.islice(combos, batch))
-        if not chunk:
-            return
+    out: set[tuple[int, tuple[int, ...]]] = set()
+    while chunk := list(itertools.islice(combos, _BATCH)):
         try:
-            yield from _solve_batch(a, chunk, r)
+            solved = _solve_batch(a, chunk, rank)
         except OverflowError:
-            # _solve_batch yields only after all elimination steps, so the
-            # chunk produced nothing yet; redo it with Python integers.
+            solved = []
             for free in chunk:
                 res = solve_for_free_columns(a_rows, free)
                 if res is not None:
-                    yield free, res[0], res[1]
+                    solved.append((free, *res))
+        for free, den, nums in solved:
+            out.add(_canonical(nc, free, den, nums))
+    return sorted(out)
 
 
-def _solve_batch(a: np.ndarray, chunk: list, r: int):
+def _canonical(
+    nc: int, free_cols: Sequence[int], den: int, nums: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Normalize a basic solution to a full-length vector with positive
+    denominator in lowest terms, so equal points compare equal."""
+    g = abs(den)
+    for v in nums:
+        g = gcd(g, v)
+    if den < 0:
+        g = -g
+    full = [0] * nc
+    for idx, c in enumerate(free_cols):
+        full[c] = nums[idx] // g
+    return den // g, tuple(full)
+
+
+def _solve_batch(
+    a: np.ndarray, chunk: list, r: int
+) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """(free_cols, den, numerators) for every subset in ``chunk`` whose
+    restricted system has a unique nonnegative solution. Raises
+    OverflowError if an elimination entry passes _GUARD."""
     m = a.shape[0]
     nb = len(chunk)
     fsel = np.array(chunk, dtype=np.int64)
@@ -181,5 +204,7 @@ def _solve_batch(a: np.ndarray, chunk: list, r: int):
     nums = mat[:, :r, r]
     feasible = np.where(den[:, None] > 0, nums >= 0, nums <= 0).all(axis=1)
     good = alive & consistent & feasible
-    for b in np.nonzero(good)[0]:
-        yield chunk[b], int(den[b]), tuple(int(v) for v in nums[b])
+    return [
+        (chunk[b], int(den[b]), tuple(int(v) for v in nums[b]))
+        for b in np.nonzero(good)[0]
+    ]

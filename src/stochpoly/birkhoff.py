@@ -133,7 +133,8 @@ def decompose(m: DoublyStochasticMatrix) -> Decomposition:
             work[i][perm[i]] -= weight
         terms.append((weight, perm))
         remaining -= weight
-    assert all(v == 0 for row in work for v in row)
+    if any(v != 0 for row in work for v in row):
+        raise AssertionError("decomposition left a nonzero remainder")
     return Decomposition(n=n, terms=tuple(terms))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .numerics import binomial, factorial, format_rational, rational_pow
+from .numerics import binomial, factorial, format_int, format_rational, rational_pow
 
 __all__ = [
     "BoundReport",
@@ -200,10 +200,10 @@ class BoundReport:
             "n": self.n,
             "lower_latin": format_rational(Fraction(self.lower_latin)),
             "cpz": format_rational(self.cpz),
-            "lzz": str(self.lzz),
-            "zz_opt": str(self.zz_opt),
-            "zz_half": str(self.zz_half),
-            "mid_binomial": str(self.mid),
+            "lzz": format_int(self.lzz),
+            "zz_opt": format_int(self.zz_opt),
+            "zz_half": format_int(self.zz_half),
+            "mid_binomial": format_int(self.mid),
             "checks": dict(self.checks),
             "ordering": list(self.ordering),
             "relations": list(self.relations),

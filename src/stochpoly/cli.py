@@ -33,7 +33,7 @@ from .enumeration import (
     enumerate_vertices_dd,
 )
 from .lp import in_permutation_hull
-from .numerics import format_rational
+from .numerics import format_int, format_rational
 from .polytope import is_vertex
 from .tensor import latin_to_json, latin_to_tensor, tensor_from_json
 
@@ -75,9 +75,9 @@ def _bounds_table(report) -> str:
     rows = [
         ("lower_latin", format_rational(Fraction(report.lower_latin))),
         ("cpz", format_rational(report.cpz)),
-        ("lzz", str(report.lzz)),
-        ("zz_opt", str(report.zz_opt)),
-        ("zz_half", str(report.zz_half)),
+        ("lzz", format_int(report.lzz)),
+        ("zz_opt", format_int(report.zz_opt)),
+        ("zz_half", format_int(report.zz_half)),
     ]
     width = max(len(v) for _, v in rows)
     lines = [f"n = {report.n}"]
@@ -108,9 +108,9 @@ def cmd_bounds(args) -> int:
             "n": 1,
             "lower_latin": format_rational(bound_lower(1)),
             "cpz": format_rational(bound_cpz(1)),
-            "lzz": str(bound_lzz(1)),
-            "zz_opt": str(bound_zz_opt(1)),
-            "zz_half": str(bound_zz_half(1)),
+            "lzz": format_int(bound_lzz(1)),
+            "zz_opt": format_int(bound_zz_opt(1)),
+            "zz_half": format_int(bound_zz_half(1)),
         }
         if args.format == "json":
             _emit(values)

@@ -175,9 +175,7 @@ def _vertex_set(n: int, points: set[tuple[Fraction, ...]]) -> VertexSet:
     return VertexSet(n=n, vertices=tuple(tensors))
 
 
-def enumerate_vertices_bruteforce(
-    n: int, backend: str | None = None, max_cells: int | None = None
-) -> VertexSet:
+def enumerate_vertices_bruteforce(n: int, max_cells: int | None = None) -> VertexSet:
     """Vertex set via exhaustive candidate active sets.
 
     A feasible point is a vertex exactly when it is the unique solution of
@@ -198,7 +196,7 @@ def enumerate_vertices_bruteforce(
             f"(raise {CAP_ENV} to override)"
         )
     points: set[tuple[Fraction, ...]] = set()
-    for den, nums in _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend=backend):
+    for den, nums in _kernels.basic_feasible_solutions(hp.rows, hp.rank):
         points.add(tuple(Fraction(v, den) for v in nums))
     return _vertex_set(n, points)
 
@@ -300,7 +298,8 @@ def enumerate_vertices_dd(
             chosen.append(list(row))
             if len(chosen) == dim:
                 break
-    assert len(chosen) == dim
+    if len(chosen) != dim:
+        raise AssertionError(f"initial cone has dimension {len(chosen)}, expected {dim}")
     inv = _invert_rational(chosen)
     rays: list[tuple[int, ...]] = []
     for j in range(dim):

@@ -132,7 +132,8 @@ def solve_feasibility(problem: LPProblem) -> FeasibilityResult:
             if basis[i] < n:
                 x[basis[i]] = tab[i][-1]
         witness = tuple(x)
-        assert verify_witness(problem, witness)
+        if not verify_witness(problem, witness):
+            raise AssertionError("simplex witness fails exact re-substitution")
         return FeasibilityResult("feasible", witness=witness)
     # dual prices from the artificial columns: price_i = 1 - reduced_cost_i,
     # then negate to match the yT M >= 0, yT rhs < 0 convention and undo the
@@ -143,7 +144,8 @@ def solve_feasibility(problem: LPProblem) -> FeasibilityResult:
         val = -price
         y.append(-val if flipped[i] else val)
     certificate = tuple(y)
-    assert verify_farkas(problem, certificate)
+    if not verify_farkas(problem, certificate):
+        raise AssertionError("simplex Farkas certificate fails exact re-check")
     return FeasibilityResult("infeasible", certificate=certificate)
 
 

@@ -7,6 +7,7 @@ denominator), so every comparison and every bound evaluation is exact.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -18,6 +19,7 @@ __all__ = [
     "rational_pow",
     "parse_rational",
     "format_rational",
+    "format_int",
 ]
 
 
@@ -57,6 +59,18 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def format_int(value: int) -> str:
+    """Decimal digits of an integer, however many there are.
+
+    ``str(int)`` refuses integers past ``sys.get_int_max_str_digits()``
+    (4300 digits by default), which the bound values pass from n = 26 on;
+    the conversion through Decimal has no such limit and is exact.
+    """
+    return str(Decimal(value))
+
+
 def format_rational(value: Fraction | int) -> str:
     """Canonical wire form: lowest terms, 'p/q', or just 'p' when q = 1."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    num = format_int(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{format_int(value.denominator)}"

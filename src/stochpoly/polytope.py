@@ -71,12 +71,14 @@ def build_lp_polytope(n: int) -> HPolytope:
         rows.append(tuple(row))
         labels.append(line)
     # structural invariants: n ones per row, 3 ones per column
-    assert all(sum(r) == n for r in rows)
+    if any(sum(r) != n for r in rows):
+        raise AssertionError(f"a line does not have exactly {n} cells")
     col_deg = [0] * nv
     for r in rows:
         for c, v in enumerate(r):
             col_deg[c] += v
-    assert all(d == 3 for d in col_deg)
+    if any(d != 3 for d in col_deg):
+        raise AssertionError("a cell does not lie on exactly 3 lines")
     rank = _kernels.rank_int(rows)
     expected = 3 * n * n - 3 * n + 1
     if rank != expected:
@@ -136,8 +138,9 @@ def is_vertex(t: Tensor3) -> VertexCertificate:
 
 def polytope_dimension(n: int) -> int:
     """Dimension of the polytope: n^3 minus the equality rank, which equals
-    (n-1)^3; the identity is asserted against the computed rank."""
+    (n-1)^3; the identity is checked against the computed rank."""
     hp = build_lp_polytope(n)
     dim = n**3 - hp.rank
-    assert dim == (n - 1) ** 3
+    if dim != (n - 1) ** 3:
+        raise AssertionError(f"dimension {dim}, expected {(n - 1) ** 3}")
     return dim

@@ -1,16 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from stochpoly import _kernels
-from stochpoly._kernels import pure
 from stochpoly.polytope import build_lp_polytope
-
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in _kernels.available_backends(),
-    reason="compiled kernel not built",
-)
 
 
 def test_rank_int_basics():
@@ -74,10 +70,8 @@ def test_solve_for_free_columns_matches_fraction_solve():
     rng = random.Random(31337)
     hp = build_lp_polytope(2)
     rows = [list(r) for r in hp.rows]
-    import itertools
-
     for free in itertools.combinations(range(8), 7):
-        got = pure.solve_for_free_columns(rows, free)
+        got = _kernels.solve_for_free_columns(rows, free)
         expected = _fraction_solve(rows, free)
         if expected is None:
             assert got is None
@@ -92,7 +86,7 @@ def test_solve_for_free_columns_matches_fraction_solve():
         a = [[rng.randrange(0, 2) for _ in range(nc)] for _ in range(m)]
         r = rng.randrange(1, min(m, nc) + 1)
         free = sorted(rng.sample(range(nc), r))
-        got = pure.solve_for_free_columns(a, free)
+        got = _kernels.solve_for_free_columns(a, free)
         expected = _fraction_solve(a, free)
         if expected is None:
             assert got is None
@@ -103,74 +97,71 @@ def test_solve_for_free_columns_matches_fraction_solve():
 
 def test_pure_bfs_on_n2_polytope():
     hp = build_lp_polytope(2)
-    sols = _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="pure")
+    sols = _kernels.basic_feasible_solutions(hp.rows, hp.rank)
     assert len(sols) == 2
     for den, nums in sols:
         assert den == 1
         assert sorted(nums) == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
-@needs_compiled
-def test_lane_agreement_n2():
-    hp = build_lp_polytope(2)
-    fast = _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="compiled")
-    slow = _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="pure")
-    assert fast == slow
+def _canonical_point(nc, free, xs):
+    """(den, numerators) of a point given by Fractions on its free columns:
+    den is the lcm of the denominators, so gcd(den, *numerators) = 1."""
+    den = lcm(*(x.denominator for x in xs))
+    full = [0] * nc
+    for c, x in zip(free, xs):
+        full[c] = int(x * den)
+    return den, tuple(full)
 
 
-@needs_compiled
-def test_lane_agreement_random_systems():
+@pytest.mark.parametrize("limit", [0, 1, 1024])
+def test_subset_limit_is_a_lexicographic_prefix(limit):
+    # the oracle's resource cap stops after the first `limit` candidate
+    # subsets; this column shuffle makes the very first subset solvable and
+    # the second not, so an off-by-one in the prefix shows at limit 1
+    hp = build_lp_polytope(3)
+    perm = list(range(hp.num_vars))
+    random.Random(2037).shuffle(perm)
+    rows = [[row[c] for c in perm] for row in hp.rows]
+    expected = set()
+    subsets = itertools.combinations(range(hp.num_vars), hp.rank)
+    for free in itertools.islice(subsets, limit):
+        res = _kernels.solve_for_free_columns(rows, free)
+        if res is not None:
+            den, nums = res
+            expected.add(_canonical_point(hp.num_vars, free, [Fraction(v, den) for v in nums]))
+    got = _kernels.basic_feasible_solutions(rows, hp.rank, subset_limit=limit)
+    assert got == sorted(expected)
+    assert bool(got) == (limit > 0)
+
+
+def test_bfs_on_random_systems_matches_fraction_solve():
     rng = random.Random(4242)
-    for _ in range(25):
+    checked = 0
+    for _ in range(40):
         m = rng.randrange(2, 8)
         nc = rng.randrange(2, 8)
         a = [[rng.randrange(0, 2) for _ in range(nc)] for _ in range(m)]
         r = _kernels.rank_int(a)
         if r == 0:
             continue
-        fast = _kernels.basic_feasible_solutions(a, r, backend="compiled")
-        slow = _kernels.basic_feasible_solutions(a, r, backend="pure")
-        assert fast == slow
-
-
-@needs_compiled
-@pytest.mark.slow
-def test_lane_agreement_n3_full():
-    # the complete 2.2M-subset sweep on both lanes; several minutes on the
-    # pure lane, hence opt-in via `pytest -m slow`
-    hp = build_lp_polytope(3)
-    fast = _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="compiled")
-    slow = _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="pure")
-    assert fast == slow
-
-
-@needs_compiled
-def test_lane_agreement_n3_prefix():
-    # first slice of the n = 3 subset space, cheap enough for every run
-    hp = build_lp_polytope(3)
-    fast = _kernels.basic_feasible_solutions(
-        hp.rows, hp.rank, subset_limit=20000, backend="compiled"
-    )
-    slow = _kernels.basic_feasible_solutions(
-        hp.rows, hp.rank, subset_limit=20000, backend="pure"
-    )
-    assert fast == slow
-    assert len(fast) > 0
+        expected = set()
+        for free in itertools.combinations(range(nc), r):
+            xs = _fraction_solve(a, free)
+            if xs is not None:
+                expected.add(_canonical_point(nc, free, xs))
+        assert _kernels.basic_feasible_solutions(a, r) == sorted(expected)
+        checked += bool(expected)
+    assert checked > 10
 
 
 def test_pure_guard_falls_back_to_bigint(monkeypatch):
     # force the int64 guard to trip so every chunk reruns on Python ints
     hp = build_lp_polytope(2)
-    reference = _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="pure")
-    monkeypatch.setattr(pure, "_GUARD", 0)
-    guarded = _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="pure")
+    reference = _kernels.basic_feasible_solutions(hp.rows, hp.rank)
+    monkeypatch.setattr(_kernels, "_GUARD", 0)
+    guarded = _kernels.basic_feasible_solutions(hp.rows, hp.rank)
     assert guarded == reference
-
-
-def test_unknown_backend_rejected():
-    hp = build_lp_polytope(2)
-    with pytest.raises(ValueError):
-        _kernels.basic_feasible_solutions(hp.rows, hp.rank, backend="gpu")
 
 
 def test_solutions_satisfy_system():

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import stochpoly
+from stochpoly import lp
 from stochpoly.enumeration import enumerate_latin_squares
 from stochpoly.lp import (
     LPProblem,
@@ -246,3 +253,39 @@ def test_random_systems_produce_valid_certificates():
             infeasible += 1
             assert verify_farkas(p, res.certificate)
     assert feasible and infeasible  # both branches exercised
+
+
+def test_failed_witness_check_is_an_error(monkeypatch):
+    monkeypatch.setattr(lp, "verify_witness", lambda problem, witness: False)
+    with pytest.raises(AssertionError, match="witness"):
+        solve_feasibility(LPProblem.build([[1]], [1]))
+
+
+def test_failed_farkas_check_is_an_error(monkeypatch):
+    monkeypatch.setattr(lp, "verify_farkas", lambda problem, certificate: False)
+    with pytest.raises(AssertionError, match="Farkas"):
+        solve_feasibility(LPProblem.build([[1]], [-1]))
+
+
+def test_witness_check_survives_optimize_flag():
+    # `python -O` strips assert statements; the witness check must still run
+    script = textwrap.dedent(
+        """
+        import sys
+        from stochpoly import lp
+        if __debug__:
+            sys.exit("not running under -O")
+        lp.verify_witness = lambda problem, witness: False
+        try:
+            lp.solve_feasibility(lp.LPProblem.build([[1]], [1]))
+        except AssertionError:
+            sys.exit(0)
+        sys.exit("unverified witness was returned")
+        """
+    )
+    src = str(Path(stochpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

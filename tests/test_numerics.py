@@ -1,4 +1,6 @@
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from stochpoly.numerics import (
     binomial,
     factorial,
+    format_int,
     format_rational,
     parse_rational,
     rational_pow,
@@ -99,3 +102,12 @@ def test_format_rational_canonical():
     # round trip
     for f in (Fraction(3, 7), Fraction(-22, 5), Fraction(9)):
         assert parse_rational(format_rational(f)) == f
+
+
+def test_format_int_beyond_str_digit_limit():
+    for v in (0, 7, -12, 10 ** (sys.get_int_max_str_digits() + 5) + 3):
+        assert int(Decimal(format_int(v))) == v
+    assert format_int(-(10**5000)) == "-1" + "0" * 5000
+    big = Fraction(10**5000 + 1, 3)
+    num, den = format_rational(big).split("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == big
