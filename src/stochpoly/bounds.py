@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .numerics import binomial, factorial, format_int, format_rational, rational_pow
 
@@ -210,8 +210,11 @@ class BoundReport:
         }
 
 
-def verify_chain(n: int, latin_count: Optional[int] = None) -> BoundReport:
+def verify_chain(n: int) -> BoundReport:
     """Evaluate every bound at n and test the expected exact comparisons.
+
+    The lower bound is the exact Latin square count L(n) for n <= 5, where
+    counting is feasible, and the explicit rational bound beyond.
 
     Asserted relations (recorded as named booleans, not exceptions):
 
@@ -234,11 +237,9 @@ def verify_chain(n: int, latin_count: Optional[int] = None) -> BoundReport:
     """
     if n < 2:
         raise ValueError("the comparison chain needs n >= 2")
-    if latin_count is None and n <= 5:
-        from .enumeration import count_latin_squares
+    from .enumeration import count_latin_squares
 
-        latin_count = count_latin_squares(n)
-    lower: Union[int, Fraction] = latin_count if latin_count is not None else bound_lower(n)
+    lower: Union[int, Fraction] = count_latin_squares(n) if n <= 5 else bound_lower(n)
 
     cpz = bound_cpz(n)
     lzz = bound_lzz(n)

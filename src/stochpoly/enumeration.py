@@ -8,7 +8,8 @@ Two independent enumeration routes are implemented and cross-checked:
   of coordinates forced to zero, driven by the elimination kernel), and
 * the double description method, run in an affine parameterization of the
   solution set of the equality system, so the cone lives in dimension
-  (n-1)^3 + 1 instead of n^3.
+  (n-1)^3 + 1 instead of n^3; each ray is held as its integer slack vector
+  over the n^3 nonnegativity halfspaces plus its zero set.
 
 Identical output from the two routes is the correctness standard; no vertex
 count is assumed from outside.
@@ -175,7 +176,7 @@ def _vertex_set(n: int, points: set[tuple[Fraction, ...]]) -> VertexSet:
     return VertexSet(n=n, vertices=tuple(tensors))
 
 
-def enumerate_vertices_bruteforce(n: int, max_cells: int | None = None) -> VertexSet:
+def enumerate_vertices_bruteforce(n: int) -> VertexSet:
     """Vertex set via exhaustive candidate active sets.
 
     A feasible point is a vertex exactly when it is the unique solution of
@@ -188,7 +189,7 @@ def enumerate_vertices_bruteforce(n: int, max_cells: int | None = None) -> Verte
     if n > BRUTE_MAX_N:
         raise ResourceCapExceeded(f"brute-force enumeration capped at n <= {BRUTE_MAX_N}")
     hp = build_lp_polytope(n)
-    cap = max_cells if max_cells is not None else _max_cells()
+    cap = _max_cells()
     candidates = comb(hp.num_vars, hp.rank)
     if candidates > cap:
         raise ResourceCapExceeded(
@@ -235,57 +236,59 @@ def _homogeneous_rows(n: int) -> list[tuple[int, ...]]:
     return [tuple([1] + [n * null[q][v] for q in range(d)]) for v in range(n**3)]
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(x // g for x in vec)
+def _ray(slack: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """A ray as its primitive integer slack vector, plus its zero set over
+    all halfspaces as a bitmask."""
+    g = gcd(*slack)
+    slack = tuple(x // g for x in slack) if g > 1 else tuple(slack)
+    return slack, sum(1 << v for v, x in enumerate(slack) if x == 0)
 
 
-def _invert_rational(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    d = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(d)]
-        + [Fraction(1 if i == j else 0) for j in range(d)]
-        for i in range(d)
-    ]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
+def _initial_slacks(rows: Sequence[Sequence[int]], init: Sequence[int]) -> list[list[int]]:
+    """Slack vectors over all rows of the extreme rays of the simplicial cone
+    cut out by the rows ``init``; ray k is tight on every chosen row except
+    ``init[k]``.
+
+    One fraction-free Gauss-Jordan pass on the transposed system, pivoting on
+    the chosen rows, leaves d * I on their columns, with d = +-det of the
+    chosen rows, and d times the rays' slack vectors in its rows (the
+    adjugate). The sign of d is divided out; its size is left for the caller.
+    """
+    m = [list(col) for col in zip(*rows)]
+    prev = 1
+    for k, c in enumerate(init):
+        piv = next(r for r in range(k, len(m)) if m[r][c] != 0)
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        pk = top[c]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[c]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pk
+    return m if prev > 0 else [[-x for x in row] for row in m]
 
 
-def enumerate_vertices_dd(
-    n: int,
-    insertion_order: Optional[Sequence[int]] = None,
-    max_cells: int | None = None,
-) -> VertexSet:
+def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = None) -> VertexSet:
     """Vertex set via the double description method.
 
     The equality system is eliminated first: solutions are parameterized as
     the barycenter plus the null-space basis, and the method runs on the
     homogenization cone in dimension (n-1)^3 + 1 with the n^3 nonnegativity
-    halfspaces. Unless ``insertion_order`` pins the constraint order (the
-    result is order-independent), remaining constraints are inserted
-    greedily, fewest-cut-rays first. ``max_cells`` caps the intermediate ray
-    count. n = 4 is accepted but can be very expensive; expect to need a
-    generous cap.
+    halfspaces. Each ray is stored once, as its primitive integer slack
+    vector over those halfspaces, with its zero set; a vertex is a ray's
+    slack vector divided by the sum over one line, because every null-space
+    direction has zero line sums. Unless ``insertion_order`` pins the
+    constraint order (the result is order-independent), remaining
+    constraints are inserted greedily, fewest-cut-rays first.
+    ``STOCHPOLY_MAX_CELLS`` caps the intermediate ray count. n = 4 is
+    accepted but can be very expensive; expect to need a generous cap.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if n == 1:
         return _vertex_set(1, {(Fraction(1),)})
-    cap = max_cells if max_cells is not None else _max_cells()
+    cap = _max_cells()
     rows = _homogeneous_rows(n)
     dim = (n - 1) ** 3 + 1
 
@@ -300,23 +303,9 @@ def enumerate_vertices_dd(
                 break
     if len(chosen) != dim:
         raise AssertionError(f"initial cone has dimension {len(chosen)}, expected {dim}")
-    inv = _invert_rational(chosen)
-    rays: list[tuple[int, ...]] = []
-    for j in range(dim):
-        col = [inv[i][j] for i in range(dim)]
-        scale = 1
-        for f in col:
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        rays.append(_primitive([int(f * scale) for f in col]))
+    rays = [_ray(s) for s in _initial_slacks(rows, init)]
+    processed = sum(1 << c for c in init)
 
-    # dot products with every halfspace, kept alongside each ray; the zero
-    # pattern over processed halfspaces drives the adjacency test
-    def dots(ray: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(a * b for a, b in zip(row, ray)) for row in rows)
-
-    raydots: dict[tuple[int, ...], tuple[int, ...]] = {r: dots(r) for r in rays}
-
-    processed: list[int] = list(init)
     if insertion_order is not None:
         order = [i for i in insertion_order if i not in set(init)]
         if sorted(order + init) != list(range(len(rows))):
@@ -326,72 +315,44 @@ def enumerate_vertices_dd(
         pending = None
     remaining = set(range(len(rows))) - set(init)
 
+    min_common = dim - 2  # adjacent rays share a face of dimension dim-1
     while remaining:
         if pending is not None:
             cut = pending.pop(0)
-            remaining.discard(cut)
         else:
             # greedy: insert the constraint cutting the fewest current rays
-            def cut_count(c: int) -> int:
-                return sum(1 for r in rays if raydots[r][c] < 0)
+            cut = min(sorted(remaining), key=lambda c: sum(1 for s, _ in rays if s[c] < 0))
+        remaining.discard(cut)
 
-            cut = min(sorted(remaining), key=cut_count)
-            remaining.discard(cut)
-
-        pos = [r for r in rays if raydots[r][cut] > 0]
-        neg = [r for r in rays if raydots[r][cut] < 0]
-        zero = [r for r in rays if raydots[r][cut] == 0]
-        if not neg:
-            processed.append(cut)
-            continue
-
-        masks: dict[tuple[int, ...], int] = {}
-        for r in rays:
-            mask = 0
-            rd = raydots[r]
-            for bit, c in enumerate(processed):
-                if rd[c] == 0:
-                    mask |= 1 << bit
-            masks[r] = mask
-
-        min_common = dim - 2  # adjacent rays share a face of dimension dim-1
-        new_rays: set[tuple[int, ...]] = set()
-        for p in pos:
-            mp = masks[p]
-            dp = raydots[p][cut]
-            for q in neg:
-                common = mp & masks[q]
+        pos = [r for r in rays if r[0][cut] > 0]
+        neg = [r for r in rays if r[0][cut] < 0]
+        zero = [r for r in rays if r[0][cut] == 0]
+        kept = len(pos) + len(zero)
+        new_rays: set[tuple[tuple[int, ...], int]] = set()
+        for p, mp in pos:
+            dp = p[cut]
+            for q, mq in neg:
+                common = mp & mq & processed
                 if common.bit_count() < min_common:
                     continue
                 # combinatorial adjacency: no third ray's zero set contains
                 # the common zero set
-                adjacent = True
-                for other in rays:
-                    if other is p or other is q:
-                        continue
-                    if masks[other] & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(m & common == common for s, m in rays if s is not p and s is not q):
                     continue
-                dq = raydots[q][cut]
-                new_rays.add(_primitive([dp * b - dq * a for a, b in zip(p, q)]))
-
+                dq = q[cut]
+                new_rays.add(_ray([dp * b - dq * a for a, b in zip(p, q)]))
+                if kept + len(new_rays) > cap:
+                    raise ResourceCapExceeded(
+                        f"double description intermediate ray count {kept + len(new_rays)} "
+                        f"exceeds the cap of {cap} (raise {CAP_ENV} to override)"
+                    )
         rays = pos + zero + sorted(new_rays)
-        if len(rays) > cap:
-            raise ResourceCapExceeded(
-                f"double description intermediate ray count {len(rays)} exceeds "
-                f"the cap of {cap} (raise {CAP_ENV} to override)"
-            )
-        for r in new_rays:
-            raydots[r] = dots(r)
-        processed.append(cut)
+        processed |= 1 << cut
 
     points: set[tuple[Fraction, ...]] = set()
-    for r in rays:
-        s = r[0]
-        if s <= 0:
+    for s, _ in rays:
+        line_sum = sum(s[:n])
+        if line_sum <= 0:
             raise AssertionError("unbounded direction found in a bounded polytope")
-        rd = raydots[r]
-        points.add(tuple(Fraction(rd[v], n * s) for v in range(n**3)))
+        points.add(tuple(Fraction(x, line_sum) for x in s))
     return _vertex_set(n, points)

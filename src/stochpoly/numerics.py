@@ -7,10 +7,17 @@ denominator), so every comparison and every bound evaluation is exact.
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
+
+_DIGITS = r"\d+(?:_\d+)*"
+#: what ``Fraction`` reads: 'p/q' with integers p and q, or a decimal 'p'
+_RATIONAL = re.compile(
+    rf"[-+]?(?=\.?\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?{_DIGITS})?)"
+)
 
 __all__ = [
     "Rational",
@@ -51,12 +58,22 @@ def rational_pow(base: Fraction | int, e: int) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical wire form 'p/q' or 'p' (optional leading '-')."""
+    """Parse the canonical wire form 'p/q' or 'p' (optional leading '-').
+
+    A lone 'p' may also be a decimal such as '0.5', read exactly. Digits are
+    read through Decimal, the way ``format_int`` writes them, so there is no
+    int/str digit limit on either part.
+    """
+    stripped = text.strip()
+    if not _RATIONAL.fullmatch(stripped):
+        raise ValueError(f"not a rational: {text!r}")
+    num, slash, den = stripped.partition("/")
+    if not slash:
+        return Fraction(Decimal(num))
     try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
+    except ZeroDivisionError as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
-    return value
 
 
 def format_int(value: int) -> str:

@@ -15,6 +15,7 @@ from stochpoly.bounds import (
     sweep_lemma_2ab,
     verify_chain,
 )
+from stochpoly.numerics import parse_rational
 
 
 def test_cpz_values():
@@ -135,3 +136,16 @@ def test_report_json_round_trippable():
     assert payload["lzz"] == "2"
     assert payload["checks"]["lzz_lt_mid"] is True
     assert payload["ordering"][0] == "lower_latin"
+    # from n = 26 the values have more digits than int(str) reads
+    for n in (2, 26):
+        r = verify_chain(n)
+        payload = r.to_json()
+        values = {
+            "lower_latin": r.lower_latin,
+            "cpz": r.cpz,
+            "lzz": r.lzz,
+            "zz_opt": r.zz_opt,
+            "zz_half": r.zz_half,
+            "mid_binomial": r.mid,
+        }
+        assert {name: parse_rational(payload[name]) for name in values} == values

@@ -1,5 +1,4 @@
 import json
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ from stochpoly.birkhoff import DoublyStochasticMatrix, matrix_to_json
 from stochpoly.bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt
 from stochpoly.cli import main
 from stochpoly.enumeration import enumerate_latin_squares
+from stochpoly.numerics import parse_rational
 from stochpoly.tensor import latin_to_tensor, tensor_to_json
 
 
@@ -48,12 +48,6 @@ def test_bounds_sweep(capsys):
     assert all(all(r["checks"].values()) for r in payload)
 
 
-def _exact(text):
-    """Parse 'p' or 'p/q' without the int/str digit limit."""
-    num, _, den = text.partition("/")
-    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
-
-
 def _bound_values(n):
     return {
         "lower_latin": bound_lower(n),
@@ -72,13 +66,13 @@ def test_bounds_past_int_str_digit_limit(capsys, n):
     assert code == 0
     payload = json.loads(out)
     for name, value in expected.items():
-        assert _exact(payload[name]) == value
+        assert parse_rational(payload[name]) == value
     assert max(len(part) for name in expected for part in payload[name].split("/")) > 4300
 
     code, out, _ = run(capsys, "bounds", str(n))
     assert code == 0
     table = dict(line.split() for line in out.splitlines()[1:6])
-    assert {name: _exact(text) for name, text in table.items()} == expected
+    assert {name: parse_rational(text) for name, text in table.items()} == expected
 
 
 def test_vertices_both_n2(capsys):

@@ -59,7 +59,7 @@ def test_vertices_n2_both_methods():
     assert dd.zero_one == 2 and dd.fractional == 0
 
 
-def test_dd_insertion_order_does_not_matter():
+def test_dd_insertion_order_does_not_matter(dd3):
     reference = enumerate_vertices_dd(2)
     indices = list(range(8))
     for order in itertools.islice(itertools.permutations(indices), 0, 24, 5):
@@ -67,6 +67,10 @@ def test_dd_insertion_order_does_not_matter():
         assert vs.vertices == reference.vertices
     vs_rev = enumerate_vertices_dd(2, insertion_order=list(reversed(indices)))
     assert vs_rev.vertices == reference.vertices
+    # n = 3 has fractional vertices; pinned orders must match the greedy one
+    indices = list(range(27))
+    for order in (indices, indices[::-1]):
+        assert enumerate_vertices_dd(3, insertion_order=order).vertices == dd3.vertices
 
 
 def test_dd_insertion_order_validation():
@@ -106,16 +110,18 @@ def test_vertex_set_json(dd3):
     assert obj["vertices"][0]["n"] == 3
 
 
-def test_brute_force_caps():
+def test_brute_force_caps(monkeypatch):
     with pytest.raises(ResourceCapExceeded):
         enumerate_vertices_bruteforce(4)
+    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", "1000")
     with pytest.raises(ResourceCapExceeded):
-        enumerate_vertices_bruteforce(3, max_cells=1000)
+        enumerate_vertices_bruteforce(3)
 
 
-def test_dd_cap():
+def test_dd_cap(monkeypatch):
+    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", "3")
     with pytest.raises(ResourceCapExceeded):
-        enumerate_vertices_dd(3, max_cells=3)
+        enumerate_vertices_dd(3)
 
 
 def test_cap_env_override(monkeypatch):
