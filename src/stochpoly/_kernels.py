@@ -1,4 +1,10 @@
-"""Exact elimination kernels: integer rank, and the brute-force vertex oracle.
+"""Exact elimination kernels: integer rank, the fraction-free pivot step,
+and the brute-force vertex oracle.
+
+``pivot`` (one fraction-free Gauss-Jordan step, Bareiss 1968 / Edmonds
+1967) and ``reduce`` (a greedy pass over columns) run every exact solve:
+``solve_for_free_columns``, the double description initial cone in
+``enumeration`` and the integer simplex tableau in ``lp``.
 
 The brute-force vertex oracle solves one exact linear system per candidate
 active set: C(n^3, 3n^2-3n+1) systems, about 2.2 million at n = 3. It runs
@@ -64,6 +70,37 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on m[r][c], in place: every other
+    row becomes (pk * row - row[c] * m[r]) // prev, an exact division, where
+    prev is the previous pivot (1 at first). Returns the pivot pk."""
+    top = m[r]
+    pk = top[c]
+    for i, row in enumerate(m):
+        if i != r:
+            f = row[c]
+            m[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
+    return pk
+
+
+def reduce(m: list[list[int]], ncols: int | None = None) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on the first ``ncols`` columns (default
+    all), in order: each pivots on its first nonzero entry below the earlier
+    pivot rows, swapped up to sit under them; a column with none is skipped.
+    Returns the pivot columns and the last pivot d; pivot row k is m[k] and
+    equals d times row k of the reduced row echelon form."""
+    cols: list[int] = []
+    prev = 1
+    for c in range(len(m[0]) if ncols is None else ncols):
+        k = len(cols)
+        piv = next((i for i in range(k, len(m)) if m[i][c] != 0), None)
+        if piv is not None:
+            m[k], m[piv] = m[piv], m[k]
+            prev = pivot(m, k, c, prev)
+            cols.append(c)
+    return cols, prev
+
+
 def solve_for_free_columns(
     a_rows: Sequence[Sequence[int]], free_cols: Sequence[int]
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -73,35 +110,12 @@ def solve_for_free_columns(
     solution, None otherwise. den is the final elimination pivot; it may be
     negative, in which case the numerators are nonpositive.
     """
-    m = [[int(row[c]) for c in free_cols] + [1] for row in a_rows]
-    nrows = len(m)
     r = len(free_cols)
-    prev = 1
-    for col in range(r):
-        piv = None
-        for i in range(col, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pk = m[col][col]
-        top = m[col]
-        for i in range(nrows):
-            if i == col:
-                continue
-            mi = m[i]
-            f = mi[col]
-            for c in range(col + 1, r + 1):
-                mi[c] = (pk * mi[c] - f * top[c]) // prev
-            mi[col] = 0
-        prev = pk
-    for i in range(r, nrows):
-        if m[i][r] != 0:
-            return None
-    den = prev
-    nums = tuple(m[i][r] for i in range(r))
+    m = [[int(row[c]) for c in free_cols] + [1] for row in a_rows]
+    pivots, den = reduce(m, r)
+    if len(pivots) < r or any(row[r] for row in m[r:]):
+        return None
+    nums = tuple(row[r] for row in m[:r])
     if any((v > 0) != (den > 0) for v in nums if v != 0):
         return None
     return den, nums

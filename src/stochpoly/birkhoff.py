@@ -148,7 +148,10 @@ def matrix_from_json(obj: dict) -> DoublyStochasticMatrix:
         rows = obj["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError("matrix JSON needs fields 'n' and 'rows'") from exc
-    m = DoublyStochasticMatrix([[parse_rational(str(v)) for v in row] for row in rows])
+    try:
+        m = DoublyStochasticMatrix([[parse_rational(str(v)) for v in row] for row in rows])
+    except TypeError as exc:
+        raise ValueError("matrix JSON 'rows' must be an n x n array") from exc
     if m.n != n:
         raise ValueError(f"declared n={n} but rows are {m.n}x{m.n}")
     return m

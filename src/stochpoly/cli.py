@@ -25,6 +25,7 @@ from . import __version__
 from .birkhoff import decompose, matrix_from_json
 from .bounds import verify_chain
 from .enumeration import (
+    BOUNDS_MAX_N,
     LATIN_MAX_N,
     ResourceCapExceeded,
     count_latin_squares,
@@ -93,8 +94,9 @@ def _bounds_table(report) -> str:
 
 
 def cmd_bounds(args) -> int:
-    if args.n < 1:
-        return _fail("n must be >= 1", EXIT_USAGE)
+    top = args.n if args.sweep is None else args.sweep
+    if top > BOUNDS_MAX_N:
+        return _fail(f"bounds are capped at n <= {BOUNDS_MAX_N}", EXIT_CAP)
     if args.sweep is not None:
         reports = [verify_chain(n) for n in range(2, args.sweep + 1)]
     elif args.n >= 2:
@@ -284,6 +286,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "n", 1) < 1:  # the n of bounds, vertices and latin
+        return _fail("n must be >= 1", EXIT_USAGE)
     return args.func(args)
 
 

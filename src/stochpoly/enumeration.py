@@ -35,6 +35,7 @@ __all__ = [
     "enumerate_vertices_dd",
     "LATIN_MAX_N",
     "BRUTE_MAX_N",
+    "BOUNDS_MAX_N",
 ]
 
 CAP_ENV = "STOCHPOLY_MAX_CELLS"
@@ -42,6 +43,9 @@ CAP_ENV = "STOCHPOLY_MAX_CELLS"
 #: hard practical ceilings; above these the work explodes combinatorially
 LATIN_MAX_N = 5
 BRUTE_MAX_N = 3
+#: ceiling for the bound chain, whose binomials have about n^3 digits:
+#: verify_chain(64) takes about 0.4 s and the sweep 2..64 about 8 s
+BOUNDS_MAX_N = 64
 
 #: default work caps (candidate active sets / intermediate double
 #: description rays), overridable through STOCHPOLY_MAX_CELLS
@@ -244,31 +248,6 @@ def _ray(slack: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return slack, sum(1 << v for v, x in enumerate(slack) if x == 0)
 
 
-def _initial_slacks(rows: Sequence[Sequence[int]], init: Sequence[int]) -> list[list[int]]:
-    """Slack vectors over all rows of the extreme rays of the simplicial cone
-    cut out by the rows ``init``; ray k is tight on every chosen row except
-    ``init[k]``.
-
-    One fraction-free Gauss-Jordan pass on the transposed system, pivoting on
-    the chosen rows, leaves d * I on their columns, with d = +-det of the
-    chosen rows, and d times the rays' slack vectors in its rows (the
-    adjugate). The sign of d is divided out; its size is left for the caller.
-    """
-    m = [list(col) for col in zip(*rows)]
-    prev = 1
-    for k, c in enumerate(init):
-        piv = next(r for r in range(k, len(m)) if m[r][c] != 0)
-        m[k], m[piv] = m[piv], m[k]
-        top = m[k]
-        pk = top[c]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[c]
-                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pk
-    return m if prev > 0 else [[-x for x in row] for row in m]
-
-
 def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = None) -> VertexSet:
     """Vertex set via the double description method.
 
@@ -292,18 +271,16 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
     rows = _homogeneous_rows(n)
     dim = (n - 1) ** 3 + 1
 
-    # initial simplicial cone from the first maximal independent row subset
-    init: list[int] = []
-    chosen: list[list[int]] = []
-    for idx, row in enumerate(rows):
-        if _kernels.rank_int(chosen + [list(row)]) > len(chosen):
-            init.append(idx)
-            chosen.append(list(row))
-            if len(chosen) == dim:
-                break
-    if len(chosen) != dim:
-        raise AssertionError(f"initial cone has dimension {len(chosen)}, expected {dim}")
-    rays = [_ray(s) for s in _initial_slacks(rows, init)]
+    # initial simplicial cone from the first maximal independent row subset:
+    # Gauss-Jordan on the transposed rows pivots on exactly those rows and
+    # leaves d * I on their columns, with d = +-det of the chosen rows, and
+    # d times the rays' slack vectors in its rows (the adjugate); ray k is
+    # tight on every chosen row except init[k]
+    slacks = [list(col) for col in zip(*rows)]
+    init, d = _kernels.reduce(slacks)
+    if len(init) != dim:
+        raise AssertionError(f"initial cone has dimension {len(init)}, expected {dim}")
+    rays = [_ray(s if d > 0 else [-x for x in s]) for s in slacks]
     processed = sum(1 << c for c in init)
 
     if insertion_order is not None:

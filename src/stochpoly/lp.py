@@ -1,9 +1,10 @@
 """Exact rational LP feasibility via phase-1 simplex with Bland's rule.
 
-Decides whether {M x = rhs, x >= 0} has a solution, entirely in Fraction
-arithmetic. Every answer ships with a machine-checkable certificate: a
-nonnegative witness that re-substitutes exactly when feasible, or a Farkas
-vector y with yT M >= 0 componentwise and yT rhs < 0 when infeasible.
+Decides whether {M x = rhs, x >= 0} has a solution, entirely in exact
+arithmetic: the simplex tableau is fraction-free on integers. Every answer
+ships with a machine-checkable certificate: a nonnegative witness that
+re-substitutes exactly when feasible, or a Farkas vector y with yT M >= 0
+componentwise and yT rhs < 0 when infeasible.
 Bland's least-index pivot rule makes the solver deterministic and immune to
 cycling on degenerate inputs.
 """
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
+from ._kernels import pivot
 from .numerics import format_rational
 from .tensor import Tensor3, is_line_stochastic
 
@@ -78,59 +81,54 @@ def solve_feasibility(problem: LPProblem) -> FeasibilityResult:
 
     Zero optimum yields a witness, positive optimum yields the Farkas vector
     read off the artificial columns' reduced costs.
+
+    The tableau holds den times each entry, in integers once column j and
+    the right-hand side are scaled by the lcms of their denominators;
+    positive scalings change no Bland choice.
     """
     m, n = problem.num_rows, problem.num_cols
     if m == 0:
         return FeasibilityResult("feasible", witness=tuple())
-    # flip rows to make the right-hand side nonnegative
-    flipped = [problem.rhs[i] < 0 for i in range(m)]
-    tab = []
-    for i in range(m):
-        sign = -1 if flipped[i] else 1
-        row = [sign * v for v in problem.matrix[i]]
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        row.append(sign * problem.rhs[i])
-        tab.append(row)
-    width = n + m + 1
-    basis = [n + i for i in range(m)]
+    # flip rows to make the right-hand side nonnegative, scale each column
+    # (the right-hand side last) to integers and put the artificials between
+    rows = [
+        [-v for v in (*row, b)] if b < 0 else [*row, b]
+        for row, b in zip(problem.matrix, problem.rhs)
+    ]
+    scale = [lcm(*(row[j].denominator for row in rows)) for j in range(n + 1)]
+    tab = [[v.numerator * (s // v.denominator) for v, s in zip(row, scale)] for row in rows]
+    tab = [row[:n] + [int(j == i) for j in range(m)] + row[n:] for i, row in enumerate(tab)]
     # reduced costs: 0 for basic artificials, minus the column sum otherwise
-    obj = [Fraction(0)] * width
-    for j in range(n):
-        obj[j] = -sum(tab[i][j] for i in range(m))
-    obj[-1] = -sum(tab[i][-1] for i in range(m))
+    obj = [-sum(col) for col in zip(*tab)]
+    obj[n : n + m] = [0] * m
+    tab.append(obj)
+    basis = [n + i for i in range(m)]
+    den = 1
 
     while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
         if enter is None:
             break
-        # Bland ratio test: least ratio, ties by least basic variable index
-        leave, best = None, None
+        # Bland ratio test: least ratio, ties by least basic variable index;
+        # ratios are compared by cross-multiplying positive coefficients
+        leave = None
         for i in range(m):
             coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            if coef > 0 and (
+                leave is None
+                or (tab[i][-1] * tab[leave][enter], basis[i]) < (tab[leave][-1] * coef, basis[leave])
+            ):
+                leave = i
         if leave is None:
             raise RuntimeError("phase-1 objective is bounded; unbounded pivot column")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        prow = tab[leave]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * p for v, p in zip(tab[i], prow)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [v - f * p for v, p in zip(obj, prow)]
+        den = pivot(tab, leave, enter, den)
         basis[leave] = enter
 
-    optimum = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
-    if optimum == 0:
+    if sum(tab[i][-1] for i in range(m) if basis[i] >= n) == 0:
         x = [Fraction(0)] * n
         for i in range(m):
             if basis[i] < n:
-                x[basis[i]] = tab[i][-1]
+                x[basis[i]] = Fraction(tab[i][-1] * scale[basis[i]], den * scale[n])
         witness = tuple(x)
         if not verify_witness(problem, witness):
             raise AssertionError("simplex witness fails exact re-substitution")
@@ -138,12 +136,9 @@ def solve_feasibility(problem: LPProblem) -> FeasibilityResult:
     # dual prices from the artificial columns: price_i = 1 - reduced_cost_i,
     # then negate to match the yT M >= 0, yT rhs < 0 convention and undo the
     # row flips
-    y = []
-    for i in range(m):
-        price = Fraction(1) - obj[n + i]
-        val = -price
-        y.append(-val if flipped[i] else val)
-    certificate = tuple(y)
+    certificate = tuple(
+        Fraction(den - tab[m][n + i], den if b < 0 else -den) for i, b in enumerate(problem.rhs)
+    )
     if not verify_farkas(problem, certificate):
         raise AssertionError("simplex Farkas certificate fails exact re-check")
     return FeasibilityResult("infeasible", certificate=certificate)

@@ -301,7 +301,10 @@ def tensor_from_json(obj: dict) -> Tensor3:
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError("tensor JSON needs fields 'n' and 'entries'") from exc
-    t = Tensor3([[[parse_rational(str(v)) for v in row] for row in layer] for layer in entries])
+    try:
+        t = Tensor3([[[parse_rational(str(v)) for v in row] for row in layer] for layer in entries])
+    except TypeError as exc:
+        raise ValueError("tensor JSON 'entries' must be an n x n x n array") from exc
     if t.n != n:
         raise ValueError(f"declared n={n} but entries are {t.n}^3")
     return t

@@ -120,6 +120,14 @@ def test_matrix_json_round_trip():
     assert matrix_from_json(obj) == m
 
 
+def test_matrix_json_rejects_bad_shape():
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": []})
+    for rows in (7, [1, 2]):
+        with pytest.raises(ValueError, match="array"):
+            matrix_from_json({"n": 2, "rows": rows})
+
+
 def test_decomposition_json():
     result = decompose(identity(2))
     assert result.to_json() == [{"weight": "1", "perm": [0, 1]}]

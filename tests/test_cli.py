@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from stochpoly import cli
 from stochpoly.birkhoff import DoublyStochasticMatrix, matrix_to_json
 from stochpoly.bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt
 from stochpoly.cli import main
-from stochpoly.enumeration import enumerate_latin_squares
+from stochpoly.enumeration import BOUNDS_MAX_N, enumerate_latin_squares
 from stochpoly.numerics import parse_rational
 from stochpoly.tensor import latin_to_tensor, tensor_to_json
 
@@ -247,6 +248,45 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "bounds")[0] == 1  # missing n
     assert run(capsys, "unknown-command")[0] == 1
     assert run(capsys, "vertices", "2", "--method", "quantum")[0] == 1
+    for argv in (
+        ("bounds", "0"),
+        ("bounds", "x"),
+        ("vertices", "0"),
+        ("vertices", "-2", "--method", "brute"),
+        ("latin", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "Traceback" not in err
+
+
+def test_bounds_cap_is_checked_before_work(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"verify_chain({n}) ran past the cap")
+
+    monkeypatch.setattr(cli, "verify_chain", refuse)
+    too_big = str(BOUNDS_MAX_N + 1)
+    for argv in (("bounds", too_big), ("bounds", "2", "--sweep", too_big)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert f"n <= {BOUNDS_MAX_N}" in err
+    assert BOUNDS_MAX_N >= 50
+
+
+def test_malformed_json_shapes_exit_1(capsys, tmp_path):
+    cases = [
+        ("check-vertex", {"n": 2, "entries": 5}),
+        ("check-vertex", {"n": 2, "entries": [[1, 2], [3, 4]]}),
+        ("membership", {"n": 2, "entries": [5]}),
+        ("decompose", {"n": 2, "rows": 7}),
+        ("decompose", {"n": 2, "rows": [1, 2]}),
+    ]
+    for command, obj in cases:
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), (command, obj)
+        assert "must be an n x n" in err
 
 
 def test_json_outputs_are_byte_identical(capsys, asset_dir):

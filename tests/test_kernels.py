@@ -37,6 +37,51 @@ def test_rank_int_agrees_with_float_rank_on_random_small():
         assert got == int(expected)
 
 
+def _fraction_rref(rows, ncols):
+    """Reduced row echelon form over Fractions, pivoting only in the first
+    ``ncols`` columns: (pivot columns, nonzero rows in pivot order)."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    cols = []
+    for c in range(ncols):
+        k = len(cols)
+        piv = next((i for i in range(k, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[k], mat[piv] = mat[piv], mat[k]
+        mat[k] = [x / mat[k][c] for x in mat[k]]
+        for i in range(len(mat)):
+            if i != k and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[k])]
+        cols.append(c)
+    return cols, mat[: len(cols)]
+
+
+def test_reduce_is_greedy_and_scales_the_rref():
+    rng = random.Random(5150)
+    for _ in range(300):
+        nrows = rng.randrange(1, 7)
+        width = rng.randrange(1, 8)
+        rows = [
+            [rng.randrange(-3, 4) if rng.random() < 0.7 else 0 for _ in range(width)]
+            for _ in range(nrows)
+        ]
+        ncols = rng.choice([None, rng.randrange(0, width + 1)])
+        reduced = width if ncols is None else ncols
+        # greedy choice: a column is a pivot when it raises the rank
+        greedy = []
+        for c in range(reduced):
+            if _kernels.rank_int([[row[j] for j in greedy + [c]] for row in rows]) > len(greedy):
+                greedy.append(c)
+        m = [list(row) for row in rows]
+        cols, d = _kernels.reduce(m, ncols)
+        assert cols == greedy
+        ref_cols, ref_rows = _fraction_rref(rows, reduced)
+        assert cols == ref_cols
+        assert m[: len(cols)] == [[d * x for x in row] for row in ref_rows]
+        assert not any(x for row in m[len(cols) :] for x in row[:reduced])
+
+
 def _fraction_solve(a_rows, free_cols):
     """Reference solve with Fractions: unique nonnegative solution or None."""
     m = len(a_rows)

@@ -240,18 +240,62 @@ def _random_problem(rng):
     return LPProblem.build(mat, rhs)
 
 
+def _fraction_tableau(p):
+    """Reference phase-1 simplex on a Fraction tableau with Bland's rule:
+    (witness, certificate), one of them None."""
+    m, n = p.num_rows, p.num_cols
+    tab = [
+        [-v if b < 0 else v for v in row] + [Fraction(int(j == i)) for j in range(m)] + [abs(b)]
+        for i, (row, b) in enumerate(zip(p.matrix, p.rhs))
+    ]
+    obj = [-sum(col) for col in zip(*tab)]
+    obj[n : n + m] = [Fraction(0)] * m
+    basis = list(range(n, n + m))
+    while (enter := next((j for j in range(n + m) if obj[j] < 0), None)) is not None:
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        tab[leave] = [v / tab[leave][enter] for v in tab[leave]]
+        for i in range(m):
+            if i != leave:
+                tab[i] = [v - tab[i][enter] * w for v, w in zip(tab[i], tab[leave])]
+        obj = [v - obj[enter] * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+    if all(tab[i][-1] == 0 for i in range(m) if basis[i] >= n):
+        x = [Fraction(0)] * n
+        for i in range(m):
+            if basis[i] < n:
+                x[basis[i]] = tab[i][-1]
+        return tuple(x), None
+    return None, tuple((obj[n + i] - 1) * (-1 if b < 0 else 1) for i, b in enumerate(p.rhs))
+
+
 def test_random_systems_produce_valid_certificates():
     rng = random.Random(424242)
     feasible = infeasible = 0
     for _ in range(100):
         p = _random_problem(rng)
         res = solve_feasibility(p)
+        # the integer tableau takes the Fraction tableau's pivots
+        assert (res.witness, res.certificate) == _fraction_tableau(p)
         if res.feasible:
             feasible += 1
             assert verify_witness(p, res.witness)
         else:
             infeasible += 1
             assert verify_farkas(p, res.certificate)
+        # positive column and rhs scalings change no pivot: the same
+        # certificate, and the witness scaled to match (x'_j = t x_j / s_j)
+        s = [Fraction(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(p.num_cols)]
+        t = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+        scaled = LPProblem.build(
+            [[v * sj for v, sj in zip(row, s)] for row in p.matrix], [t * b for b in p.rhs]
+        )
+        res_scaled = solve_feasibility(scaled)
+        assert res_scaled.certificate == res.certificate
+        if res.feasible:
+            assert res_scaled.witness == tuple(t * x / sj for x, sj in zip(res.witness, s))
+        else:
+            assert res_scaled.witness is None
     assert feasible and infeasible  # both branches exercised
 
 

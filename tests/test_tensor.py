@@ -185,6 +185,9 @@ def test_tensor_json_rejects_bad_shape():
         tensor_from_json({"n": 2, "entries": [[["1"]]]})
     with pytest.raises(ValueError):
         tensor_from_json({"entries": []})
+    for entries in (5, [5], [[1, 2], [3, 4]]):
+        with pytest.raises(ValueError, match="array"):
+            tensor_from_json({"n": 2, "entries": entries})
 
 
 def test_latin_json_round_trip():
