@@ -146,7 +146,7 @@ def matrix_from_json(obj: dict) -> DoublyStochasticMatrix:
     try:
         n = int(obj["n"])
         rows = obj["rows"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError("matrix JSON needs fields 'n' and 'rows'") from exc
     try:
         m = DoublyStochasticMatrix([[parse_rational(str(v)) for v in row] for row in rows])

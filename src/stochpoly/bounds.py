@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Union
 
 from .numerics import binomial, factorial, format_int, format_rational, rational_pow
@@ -51,32 +52,70 @@ def bound_cpz(n: int) -> Fraction:
 
 def bound_lzz(n: int) -> int:
     """Upper bound from the McMullen-style vertex maximum for a polytope of
-    this dimension and facet count: a sum of two binomials."""
+    this dimension and facet count: a sum of two binomials.
+
+    The two floors differ by at most one, so the second binomial is the
+    first times one ratio factor, C(a - 1, k) = C(a, k) (a - k) / a, or the
+    first itself.
+    """
     _require_positive(n)
     cubes = n**3
     half1 = ((n - 1) ** 3 + 1) // 2
     half2 = ((n - 1) ** 3 + 2) // 2
     low = 3 * n**2 - 3 * n + 1
-    return binomial(cubes - half1, low) + binomial(cubes - half2, low)
+    a = cubes - half1
+    first = binomial(a, low)
+    second = first if half2 == half1 else first * (a - low) // a
+    return first + second
+
+
+def _zz_opt_sum(n: int) -> tuple[int, int]:
+    """Sum of C(n^3, k) for k = n^2 .. 3n^2 - 3n + 1, and its last term.
+
+    Binary splitting (Haible & Papanikolaou 1998) of the term ratios
+    C(N, k+1) / C(N, k) = (N - k) / (k + 1): over the steps k = a .. b-1,
+    P and Q are the products of the numerators and denominators and T / Q
+    is the sum of the running ratio products, so the sum is
+    C(N, lo) (Q + T) / Q and the last term C(N, lo) P / Q, both exact.
+    """
+    cubes = n**3
+    lo, hi = n**2, 3 * n**2 - 3 * n + 1
+
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        if b - a == 1:
+            return cubes - a, a + 1, cubes - a
+        m = (a + b) // 2
+        p1, q1, t1 = split(a, m)
+        p2, q2, t2 = split(m, b)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    first = binomial(cubes, lo)
+    if hi == lo:
+        return first, first
+    p, q, t = split(lo, hi)
+    total, r1 = divmod(first * (q + t), q)
+    last, r2 = divmod(first * p, q)
+    if r1 or r2:
+        raise AssertionError(f"binary splitting of the zz_opt sum left a remainder at n = {n}")
+    return total, last
 
 
 def bound_zz_opt(n: int) -> int:
     """Upper bound from basic-solution counting: sum of C(n^3, k) for
     support sizes k from n^2 through 3n^2 - 3n + 1.
 
-    Computed incrementally (C(N, k+1) = C(N, k)*(N-k)/(k+1), exact integer
-    steps) because at the sweep ceiling a fresh binomial per term is the
-    slow part.
+    Evaluated by binary splitting of the term-ratio series: products of
+    balanced halves and two exact divisions, instead of about 2n^2
+    sequential big-integer steps.
     """
     _require_positive(n)
-    cubes = n**3
-    lo, hi = n**2, 3 * n**2 - 3 * n + 1
-    term = binomial(cubes, lo)
-    total = term
-    for k in range(lo, hi):
-        term = term * (cubes - k) // (k + 1)
-        total += term
-    return total
+    return _zz_opt_sum(n)[0]
+
+
+def _raise_upper(c: int, a: int, k: int, steps: int) -> int:
+    """C(a + steps, k) from c = C(a, k), by the ratio factors
+    C(a + i, k) / C(a + i - 1, k) = (a + i) / (a + i - k) for i = 1 .. steps."""
+    return c * prod(range(a + 1, a + steps + 1)) // prod(range(a + 1 - k, a + steps + 1 - k))
 
 
 def bound_zz_half(n: int) -> int:
@@ -243,9 +282,9 @@ def verify_chain(n: int) -> BoundReport:
 
     cpz = bound_cpz(n)
     lzz = bound_lzz(n)
-    zz_opt = bound_zz_opt(n)
+    zz_opt, mid = _zz_opt_sum(n)
     zz_half = bound_zz_half(n)
-    mid = binomial(n**3, 3 * n**2 - 3 * n + 1)
+    loose = _raise_upper(zz_half, n**3 + 3 * n**2 - 3 * n + 1, n**3, 3 * n - 1)
 
     checks = {
         "lzz_lt_mid": lzz < mid,
@@ -253,7 +292,7 @@ def verify_chain(n: int) -> BoundReport:
         "zz_opt_lt_zz_half": zz_opt < zz_half,
         "lzz_le_cpz": lzz <= cpz,
         "lower_le_lzz": Fraction(lower) <= lzz,
-        "zz_half_lt_loose": zz_half < binomial(n**3 + 3 * n**2, n**3),
+        "zz_half_lt_loose": zz_half < loose,
     }
 
     values = {

@@ -26,7 +26,7 @@ from .birkhoff import decompose, matrix_from_json
 from .bounds import verify_chain
 from .enumeration import (
     BOUNDS_MAX_N,
-    LATIN_MAX_N,
+    HULL_LATIN_MAX_N,
     ResourceCapExceeded,
     count_latin_squares,
     enumerate_latin_squares,
@@ -94,6 +94,8 @@ def _bounds_table(report) -> str:
 
 
 def cmd_bounds(args) -> int:
+    if args.sweep is not None and args.sweep < 2:
+        return _fail("--sweep MAX_N must be >= 2", EXIT_USAGE)
     top = args.n if args.sweep is None else args.sweep
     if top > BOUNDS_MAX_N:
         return _fail(f"bounds are capped at n <= {BOUNDS_MAX_N}", EXIT_CAP)
@@ -180,10 +182,8 @@ def cmd_membership(args) -> int:
     try:
         tensor = tensor_from_json(_load_json(args.tensor_file))
         if args.generators == "latin":
-            if tensor.n > LATIN_MAX_N:
-                return _fail(
-                    f"built-in generators need n <= {LATIN_MAX_N}", EXIT_CAP
-                )
+            if tensor.n > HULL_LATIN_MAX_N:
+                return _fail(f"built-in generators need n <= {HULL_LATIN_MAX_N}", EXIT_CAP)
             generators = [latin_to_tensor(s) for s in enumerate_latin_squares(tensor.n)]
         else:
             raw = _load_json(args.generators)

@@ -64,6 +64,8 @@ def parse_rational(text: str) -> Fraction:
     read through Decimal, the way ``format_int`` writes them, so there is no
     int/str digit limit on either part.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
     stripped = text.strip()
     if not _RATIONAL.fullmatch(stripped):
         raise ValueError(f"not a rational: {text!r}")

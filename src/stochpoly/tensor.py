@@ -10,7 +10,6 @@ descriptors report 1-based indices.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -299,7 +298,7 @@ def tensor_from_json(obj: dict) -> Tensor3:
     try:
         n = int(obj["n"])
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError("tensor JSON needs fields 'n' and 'entries'") from exc
     try:
         t = Tensor3([[[parse_rational(str(v)) for v in row] for row in layer] for layer in entries])
@@ -318,14 +317,12 @@ def latin_from_json(obj: dict) -> LatinSquare:
     try:
         n = int(obj["n"])
         cells = obj["cells"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError("latin square JSON needs fields 'n' and 'cells'") from exc
-    s = LatinSquare(cells)
+    try:
+        s = LatinSquare(cells)
+    except TypeError as exc:
+        raise ValueError("latin square JSON 'cells' must be an n x n array") from exc
     if s.n != n:
         raise ValueError(f"declared n={n} but cells are {s.n}x{s.n}")
     return s
-
-
-def load_tensor(path: str) -> Tensor3:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tensor_from_json(json.load(fh))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stochpoly.bounds import (
+    _raise_upper,
     bound_cpz,
     bound_lower,
     bound_lzz,
@@ -149,3 +150,51 @@ def test_report_json_round_trippable():
             "mid_binomial": r.mid,
         }
         assert {name: parse_rational(payload[name]) for name in values} == values
+
+
+def _zz_opt_reference(n):
+    """The zz_opt sum term by term: a fresh binomial per term where that is
+    cheap, the sequential ratio recurrence beyond."""
+    cubes, lo, hi = n**3, n**2, 3 * n**2 - 3 * n + 1
+    if n <= 12:
+        return sum(math.comb(cubes, k) for k in range(lo, hi + 1))
+    term = total = math.comb(cubes, lo)
+    for k in range(lo, hi):
+        term = term * (cubes - k) // (k + 1)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_zz_opt_matches_literal_sum(n):
+    assert bound_zz_opt(n) == sum(math.comb(n**3, k) for k in range(n**2, 3 * n**2 - 3 * n + 2))
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 26, 50, 64])
+def test_verify_chain_matches_binomial_definitions(n):
+    cubes, low = n**3, 3 * n**2 - 3 * n + 1
+    cpz = Fraction(math.comb(cubes + 6 * n**2 - 6 * n + 2, cubes - 1), cubes)
+    lzz = math.comb(cubes - ((n - 1) ** 3 + 1) // 2, low) + math.comb(cubes - ((n - 1) ** 3 + 2) // 2, low)
+    zz_opt = _zz_opt_reference(n)
+    zz_half = math.comb(cubes + low, cubes)
+    mid = math.comb(cubes, low)
+    loose = math.comb(cubes + 3 * n**2, cubes)
+    r = verify_chain(n)
+    assert (r.cpz, r.lzz, r.zz_opt, r.zz_half, r.mid) == (cpz, lzz, zz_opt, zz_half, mid)
+    lower = Fraction(r.lower_latin)
+    assert r.checks == {
+        "lzz_lt_mid": lzz < mid,
+        "mid_lt_zz_opt": mid < zz_opt,
+        "zz_opt_lt_zz_half": zz_opt < zz_half,
+        "lzz_le_cpz": lzz <= cpz,
+        "lower_le_lzz": lower <= lzz,
+        "zz_half_lt_loose": zz_half < loose,
+    }
+    assert _raise_upper(zz_half, cubes + low, cubes, 3 * n - 1) == loose
+
+
+def test_raise_upper_matches_comb():
+    for a in range(12):
+        for k in range(a + 1):
+            for steps in range(5):
+                assert _raise_upper(math.comb(a, k), a, k, steps) == math.comb(a + steps, k)

@@ -7,9 +7,9 @@ from stochpoly import cli
 from stochpoly.birkhoff import DoublyStochasticMatrix, matrix_to_json
 from stochpoly.bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt
 from stochpoly.cli import main
-from stochpoly.enumeration import BOUNDS_MAX_N, enumerate_latin_squares
+from stochpoly.enumeration import BOUNDS_MAX_N, HULL_LATIN_MAX_N, enumerate_latin_squares
 from stochpoly.numerics import parse_rational
-from stochpoly.tensor import latin_to_tensor, tensor_to_json
+from stochpoly.tensor import latin_to_tensor, tensor_to_json, uniform_tensor
 
 
 def run(capsys, *argv):
@@ -254,6 +254,8 @@ def test_usage_errors_exit_1(capsys):
         ("vertices", "0"),
         ("vertices", "-2", "--method", "brute"),
         ("latin", "0"),
+        ("bounds", "3", "--sweep", "0"),
+        ("bounds", "3", "--sweep", "-5", "--format", "json"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -271,6 +273,19 @@ def test_bounds_cap_is_checked_before_work(capsys, monkeypatch):
         assert (code, out) == (3, "")
         assert f"n <= {BOUNDS_MAX_N}" in err
     assert BOUNDS_MAX_N >= 50
+
+
+def test_membership_latin_cap_is_checked_before_work(capsys, monkeypatch, tmp_path):
+    def refuse(n):
+        raise AssertionError(f"enumerate_latin_squares({n}) ran past the cap")
+
+    monkeypatch.setattr(cli, "enumerate_latin_squares", refuse)
+    path = tmp_path / "uniform5.json"
+    path.write_text(json.dumps(tensor_to_json(uniform_tensor(HULL_LATIN_MAX_N + 1))))
+    code, out, err = run(capsys, "membership", str(path))
+    assert (code, out) == (3, "")
+    assert f"n <= {HULL_LATIN_MAX_N}" in err
+    assert HULL_LATIN_MAX_N == 4
 
 
 def test_malformed_json_shapes_exit_1(capsys, tmp_path):

@@ -190,6 +190,12 @@ def test_tensor_json_rejects_bad_shape():
             tensor_from_json({"n": 2, "entries": entries})
 
 
+def test_latin_json_rejects_bad_shape():
+    for cells in (5, [5], [[1, 2], [2]]):
+        with pytest.raises(ValueError):
+            latin_from_json({"n": 2, "cells": cells})
+
+
 def test_latin_json_round_trip():
     s = LatinSquare([[1, 2], [2, 1]])
     obj = latin_to_json(s)
