@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import format_rational, parse_rational
+from .numerics import format_rational, json_int, parse_rational
 
 __all__ = [
     "DoublyStochasticMatrix",
@@ -144,9 +144,9 @@ def matrix_to_json(m: DoublyStochasticMatrix) -> dict:
 
 def matrix_from_json(obj: dict) -> DoublyStochasticMatrix:
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
         rows = obj["rows"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError("matrix JSON needs fields 'n' and 'rows'") from exc
     try:
         m = DoublyStochasticMatrix([[parse_rational(str(v)) for v in row] for row in rows])

@@ -13,16 +13,23 @@ Latin squares give a lower bound:
 
 Everything here is exact big-integer / rational arithmetic; a report either
 proves the expected strict orderings for a given n or records the violation.
+The binomials of cpz, lzz and zz_half (tens of thousands of digits at n = 50)
+are built from their prime factorisations: one sieve up to the largest top
+index, Legendre's formula for each exponent and a balanced product tree, so
+no step divides a multi-limb integer (``_binomials``). The zz_opt sum comes
+from one binary splitting of its term ratios.
 The two combinatorial lemmas the comparisons rest on (the shifted-binomial
 doubling inequality and a hockey-stick style sum bound) are exposed as
 checkable statements so they can be swept for counterexamples.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
-from typing import Union
+from itertools import compress
+from math import isqrt, prod
+from typing import Sequence, Union
 
 from .numerics import binomial, factorial, format_int, format_rational, rational_pow
 
@@ -42,31 +49,101 @@ __all__ = [
 ]
 
 
+def _primes_upto(top: int) -> list[int]:
+    """The primes p <= top, from a sieve over the odd numbers."""
+    if top < 2:
+        return []
+    odd = bytearray([1]) * ((top + 1) // 2)  # odd[i] stands for 2i + 1
+    odd[0] = 0
+    for i in range(1, (isqrt(top) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes(len(range(start, len(odd), p)))
+    return [2, *compress(range(1, top + 1, 2), odd)]
+
+
+def _product(factors: list[int]) -> int:
+    """Product by a balanced tree: neighbours are multiplied round by round,
+    so the large operands meet only near the root."""
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [x * y for x, y in zip(factors[::2], factors[1::2])] + odd
+    return factors[0] if factors else 1
+
+
+def _binomials(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """C(a, b) for each pair (a, b) with 0 <= b <= a, from one prime sieve up
+    to the largest a, with no division by a multi-limb integer.
+
+    By Legendre's formula the exponent of a prime p in C(a, b) is
+    sum_i (a // p^i - b // p^i - (a - b) // p^i), the number of carries when
+    b and a - b are added in base p (Kummer); see Goetgheluck 1987,
+    *Computing binomial coefficients*. Every prime above max(b, a - b) has
+    exponent 1, so those are one bisected slice of the sieve. A prime above
+    sqrt(a) has exponent 0 or 1, and 1 exactly when a mod p < b mod p (a
+    carry out of the last digit). Only the primes up to sqrt(a) need the full
+    sum. The prime powers are multiplied in a balanced product tree.
+    """
+    primes = _primes_upto(max((a for a, _ in pairs), default=0))
+    values = []
+    for a, b in pairs:
+        c = a - b
+        root = isqrt(a)
+        small = bisect_right(primes, root)
+        once = bisect_right(primes, max(b, c, root))
+        factors = primes[once : bisect_right(primes, a)]
+        factors += [p for p in primes[small:once] if a % p < b % p]
+        for p in primes[:small]:
+            e, q = 0, p
+            while q <= a:
+                e += a // q - b // q - c // q
+                q *= p
+            if e:
+                factors.append(p**e)
+        values.append(_product(factors))
+    return values
+
+
+def _cpz_pair(n: int) -> tuple[int, int]:
+    return n**3 + 6 * n**2 - 6 * n + 2, n**3 - 1
+
+
+def _lzz_pair(n: int) -> tuple[int, int]:
+    return n**3 - ((n - 1) ** 3 + 1) // 2, 3 * n**2 - 3 * n + 1
+
+
+def _zz_half_pair(n: int) -> tuple[int, int]:
+    return n**3 + 3 * n**2 - 3 * n + 1, n**3
+
+
 def bound_cpz(n: int) -> Fraction:
     """Upper bound from hyperplane induction: C(p, n^3 - 1) / n^3 with
     p = n^3 + 6n^2 - 6n + 2. Not an integer in general, so kept rational."""
     _require_positive(n)
-    p = n**3 + 6 * n**2 - 6 * n + 2
-    return Fraction(binomial(p, n**3 - 1), n**3)
+    (top,) = _binomials([_cpz_pair(n)])
+    return Fraction(top, n**3)
 
 
-def bound_lzz(n: int) -> int:
-    """Upper bound from the McMullen-style vertex maximum for a polytope of
-    this dimension and facet count: a sum of two binomials.
+def _lzz_from_first(n: int, first: int) -> int:
+    """lzz from its first binomial C(a, k).
 
     The two floors differ by at most one, so the second binomial is the
     first times one ratio factor, C(a - 1, k) = C(a, k) (a - k) / a, or the
     first itself.
     """
-    _require_positive(n)
-    cubes = n**3
+    a, low = _lzz_pair(n)
     half1 = ((n - 1) ** 3 + 1) // 2
     half2 = ((n - 1) ** 3 + 2) // 2
-    low = 3 * n**2 - 3 * n + 1
-    a = cubes - half1
-    first = binomial(a, low)
     second = first if half2 == half1 else first * (a - low) // a
     return first + second
+
+
+def bound_lzz(n: int) -> int:
+    """Upper bound from the McMullen-style vertex maximum for a polytope of
+    this dimension and facet count: a sum of two binomials."""
+    _require_positive(n)
+    return _lzz_from_first(n, *_binomials([_lzz_pair(n)]))
 
 
 def _zz_opt_sum(n: int) -> tuple[int, int]:
@@ -121,7 +198,8 @@ def _raise_upper(c: int, a: int, k: int, steps: int) -> int:
 def bound_zz_half(n: int) -> int:
     """Upper bound from the halfspace description: C(n^3 + 3n^2 - 3n + 1, n^3)."""
     _require_positive(n)
-    return binomial(n**3 + 3 * n**2 - 3 * n + 1, n**3)
+    (value,) = _binomials([_zz_half_pair(n)])
+    return value
 
 
 def bound_lower(n: int) -> Fraction:
@@ -280,11 +358,11 @@ def verify_chain(n: int) -> BoundReport:
 
     lower: Union[int, Fraction] = count_latin_squares(n) if n <= 5 else bound_lower(n)
 
-    cpz = bound_cpz(n)
-    lzz = bound_lzz(n)
+    cpz_top, lzz_first, zz_half = _binomials([_cpz_pair(n), _lzz_pair(n), _zz_half_pair(n)])
+    cpz = Fraction(cpz_top, n**3)
+    lzz = _lzz_from_first(n, lzz_first)
     zz_opt, mid = _zz_opt_sum(n)
-    zz_half = bound_zz_half(n)
-    loose = _raise_upper(zz_half, n**3 + 3 * n**2 - 3 * n + 1, n**3, 3 * n - 1)
+    loose = _raise_upper(zz_half, *_zz_half_pair(n), 3 * n - 1)
 
     checks = {
         "lzz_lt_mid": lzz < mid,

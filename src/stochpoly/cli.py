@@ -26,8 +26,10 @@ from .birkhoff import decompose, matrix_from_json
 from .bounds import verify_chain
 from .enumeration import (
     BOUNDS_MAX_N,
+    CAP_ENV,
     HULL_LATIN_MAX_N,
     ResourceCapExceeded,
+    _max_cells,
     count_latin_squares,
     enumerate_latin_squares,
     enumerate_vertices_bruteforce,
@@ -189,6 +191,14 @@ def cmd_membership(args) -> int:
             raw = _load_json(args.generators)
             if not isinstance(raw, list):
                 raise ValueError("generator file must be a JSON array of tensors")
+            # the LP matrix has one row per tensor entry plus the weight sum
+            cells, cap = (tensor.n**3 + 1) * len(raw), _max_cells()
+            if cells > cap:
+                return _fail(
+                    f"a membership LP of {cells} matrix cells exceeds the cap of {cap} "
+                    f"(raise {CAP_ENV} to override)",
+                    EXIT_CAP,
+                )
             generators = [tensor_from_json(obj) for obj in raw]
         result = in_permutation_hull(tensor, generators)
     except ResourceCapExceeded as exc:
@@ -236,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stochpoly",
         description=__doc__.splitlines()[0],
-        epilog="STOCHPOLY_MAX_CELLS caps enumeration work "
-        "(candidate active sets / intermediate rays; default 4000000).",
+        epilog="STOCHPOLY_MAX_CELLS caps enumeration work (candidate active sets / "
+        "intermediate rays) and the matrix cells of a membership LP over a generator "
+        "file; default 4000000.",
     )
     parser.add_argument("--version", action="version", version=f"stochpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -48,8 +48,9 @@ LATIN_MAX_N = 5
 HULL_LATIN_MAX_N = 4
 BRUTE_MAX_N = 3
 #: ceiling for the bound chain, whose binomials have about n^3 digits:
-#: verify_chain(64) takes about 0.25 s and the sweep 2..64 about 3.4 s
-#: (2-vCPU VM, Python 3.11)
+#: verify_chain(64) takes about 0.10-0.12 s and the sweep 2..64 about 1.7 s
+#: (0.20 s and 3.3 s with math.comb for the binomials; 2-vCPU Intel Xeon VM,
+#: Python 3.11)
 BOUNDS_MAX_N = 64
 
 #: default work caps (candidate active sets / intermediate double

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .numerics import format_rational, parse_rational
+from .numerics import format_rational, json_int, parse_rational
 
 __all__ = [
     "Tensor3",
@@ -296,9 +296,9 @@ def tensor_to_json(t: Tensor3) -> dict:
 
 def tensor_from_json(obj: dict) -> Tensor3:
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
         entries = obj["entries"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError("tensor JSON needs fields 'n' and 'entries'") from exc
     try:
         t = Tensor3([[[parse_rational(str(v)) for v in row] for row in layer] for layer in entries])
@@ -315,12 +315,12 @@ def latin_to_json(s: LatinSquare) -> dict:
 
 def latin_from_json(obj: dict) -> LatinSquare:
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
         cells = obj["cells"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError("latin square JSON needs fields 'n' and 'cells'") from exc
     try:
-        s = LatinSquare(cells)
+        s = LatinSquare([[json_int(v, "a latin square cell") for v in row] for row in cells])
     except TypeError as exc:
         raise ValueError("latin square JSON 'cells' must be an n x n array") from exc
     if s.n != n:

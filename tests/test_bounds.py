@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from stochpoly.bounds import (
+    _binomials,
+    _cpz_pair,
+    _lzz_pair,
+    _primes_upto,
     _raise_upper,
+    _zz_half_pair,
     bound_cpz,
     bound_lower,
     bound_lzz,
@@ -191,6 +196,33 @@ def test_verify_chain_matches_binomial_definitions(n):
         "zz_half_lt_loose": zz_half < loose,
     }
     assert _raise_upper(zz_half, cubes + low, cubes, 3 * n - 1) == loose
+
+
+def test_binomials_match_comb_up_to_300():
+    for a in range(301):
+        assert _binomials([(a, b) for b in range(a + 1)]) == [math.comb(a, b) for b in range(a + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 26, 50, 64])
+def test_binomials_match_comb_on_the_chain_pairs(n):
+    pairs = [_cpz_pair(n), _lzz_pair(n), _zz_half_pair(n)]
+    assert _binomials(pairs) == [math.comb(a, b) for a, b in pairs]
+
+
+def test_binomials_edge_cases():
+    # a = 0 and 1, b = 0 and b = a, prime a (a itself lies in the bulk
+    # slice) and prime-power a (exponents above 1 from the Legendre sum),
+    # all in one call sharing one sieve
+    pairs = [(0, 0), (1, 0), (1, 1), (7, 0), (7, 7), (7, 3), (97, 48), (1009, 1), (1009, 500)]
+    pairs += [(2**10, 2**9), (3**6, 100), (5**4, 5**3), (7**3, 7**2 + 1), (2**12, 1)]
+    assert _binomials(pairs) == [math.comb(a, b) for a, b in pairs]
+    assert _binomials([]) == []
+
+
+def test_primes_upto_matches_trial_division():
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for top in range(2000):
+        assert _primes_upto(top) == [p for p in primes if p <= top]
 
 
 def test_raise_upper_matches_comb():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochpoly import cli
+from stochpoly import cli, lp
 from stochpoly.birkhoff import DoublyStochasticMatrix, matrix_to_json
 from stochpoly.bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt
 from stochpoly.cli import main
@@ -286,6 +286,43 @@ def test_membership_latin_cap_is_checked_before_work(capsys, monkeypatch, tmp_pa
     assert (code, out) == (3, "")
     assert f"n <= {HULL_LATIN_MAX_N}" in err
     assert HULL_LATIN_MAX_N == 4
+
+
+def test_membership_generator_file_cap_is_checked_before_work(capsys, monkeypatch, tmp_path):
+    def refuse(problem):
+        raise AssertionError("the membership LP ran past the cap")
+
+    monkeypatch.setattr(lp, "solve_feasibility", refuse)
+    perm = latin_to_tensor(enumerate_latin_squares(3)[0])
+    target = tmp_path / "perm.json"
+    target.write_text(json.dumps(tensor_to_json(perm)))
+    gens = tmp_path / "gens.json"
+    # entries that do not parse: the cap has to refuse before they are read
+    gens.write_text(json.dumps([tensor_to_json(perm), "not a tensor", {"n": 2.5}]))
+    cells = (3**3 + 1) * 3  # one LP row per entry plus the weight sum, one column per generator
+    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells - 1))
+    code, out, err = run(capsys, "membership", str(target), "--generators", str(gens))
+    assert (code, out) == (3, "")
+    assert f"{cells} matrix cells exceeds the cap of {cells - 1}" in err
+    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells))
+    code, out, _ = run(capsys, "membership", str(target), "--generators", str(gens))
+    assert (code, out) == (1, "")
+
+
+def test_oversized_exponent_exits_1(capsys, tmp_path):
+    tensor = tensor_to_json(uniform_tensor(2))
+    tensor["entries"][0][0][0] = "1e10000000"
+    cases = [
+        ("check-vertex", tensor),
+        ("membership", tensor),
+        ("decompose", {"n": 2, "rows": [["1e10000000", "0"], ["0", "1"]]}),
+    ]
+    for command, obj in cases:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert "exponent" in err
 
 
 def test_malformed_json_shapes_exit_1(capsys, tmp_path):

@@ -73,8 +73,15 @@ def test_parse_rational_raises_only_value_error(obj):
     _value_or_value_error(parse_rational, obj)
 
 
-@pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan"), 1e300])
+@pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan"), 1e300, 2.9, True])
 def test_readers_reject_non_integral_n(n):
     for fn, key in ((tensor_from_json, "entries"), (matrix_from_json, "rows"), (latin_from_json, "cells")):
         with pytest.raises(ValueError):
             fn({"n": n, key: [[["1"]]] if key == "entries" else [["1"]]})
+
+
+@pytest.mark.parametrize("cell", [1.7, 1.0, True])
+def test_latin_reader_rejects_non_integral_cells(cell):
+    assert latin_from_json({"n": 2, "cells": [[1, 2], [2, 1]]}).cells == ((1, 2), (2, 1))
+    with pytest.raises(ValueError, match="must be an integer"):
+        latin_from_json({"n": 2, "cells": [[cell, 2], [2, 1]]})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stochpoly.numerics import (
+    MAX_EXPONENT,
     binomial,
     factorial,
     format_int,
@@ -93,6 +94,15 @@ def test_parse_rational(text, expected):
 def test_parse_rational_rejects_garbage():
     for bad in ("", "x", "1/0", "1.5.2", "1.5/2", "1__0", "nan", "inf"):
         with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+def test_parse_rational_caps_the_exponent():
+    assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert parse_rational(f"2.5e-{MAX_EXPONENT}") == Fraction(5, 2 * 10**MAX_EXPONENT)
+    assert parse_rational("1_0E+1_0") == 10**11
+    for bad in (f"1e{MAX_EXPONENT + 1}", f"-3.5e-{MAX_EXPONENT + 1}", "1e10000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
             parse_rational(bad)
 
 
