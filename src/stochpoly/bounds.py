@@ -13,11 +13,13 @@ Latin squares give a lower bound:
 
 Everything here is exact big-integer / rational arithmetic; a report either
 proves the expected strict orderings for a given n or records the violation.
-The binomials of cpz, lzz and zz_half (tens of thousands of digits at n = 50)
-are built from their prime factorisations: one sieve up to the largest top
-index, Legendre's formula for each exponent and a balanced product tree, so
-no step divides a multi-limb integer (``_binomials``). The zz_opt sum comes
-from one binary splitting of its term ratios.
+Every binomial the chain needs (``_pairs``; tens of thousands of digits at
+n = 50) is built from its prime factorisation: one sieve up to the largest
+top index, Legendre's formula for each exponent and a balanced product, so
+no step divides a multi-limb integer (``_binomials``). The zz_opt sum takes
+its first term from there and the rest from one binary splitting of its term
+ratios, folded in the same balanced order (``_fold``) and ended by one exact
+division.
 The two combinatorial lemmas the comparisons rest on (the shifted-binomial
 doubling inequality and a hockey-stick style sum bound) are exposed as
 checkable statements so they can be swept for counterexamples.
@@ -28,8 +30,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import isqrt, prod
-from typing import Sequence, Union
+from math import isqrt
+from operator import mul
+from typing import Callable, Sequence, TypeVar, Union
 
 from .numerics import binomial, factorial, format_int, format_rational, rational_pow
 
@@ -48,6 +51,8 @@ __all__ = [
     "verify_chain",
 ]
 
+_T = TypeVar("_T")
+
 
 def _primes_upto(top: int) -> list[int]:
     """The primes p <= top, from a sieve over the odd numbers."""
@@ -63,37 +68,44 @@ def _primes_upto(top: int) -> list[int]:
     return [2, *compress(range(1, top + 1, 2), odd)]
 
 
-def _product(factors: list[int]) -> int:
-    """Product by a balanced tree: neighbours are multiplied round by round,
-    so the large operands meet only near the root."""
-    while len(factors) > 1:
-        odd = factors[-1:] if len(factors) % 2 else []
-        factors = [x * y for x, y in zip(factors[::2], factors[1::2])] + odd
-    return factors[0] if factors else 1
+def _fold(items: list[_T], op: Callable[[_T, _T], _T], unit: _T) -> _T:
+    """Reduce items in order by an associative op, neighbours combined round
+    by round, so the large operands meet only near the root; unit if empty."""
+    while len(items) > 1:
+        odd = items[-1:] if len(items) % 2 else []
+        items = [op(x, y) for x, y in zip(items[::2], items[1::2])] + odd
+    return items[0] if items else unit
 
 
 def _binomials(pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """C(a, b) for each pair (a, b) with 0 <= b <= a, from one prime sieve up
-    to the largest a, with no division by a multi-limb integer.
+    """C(a, b) for each pair (a, b) with b >= 0 (0 for b > a), from one prime
+    sieve up to the largest a, with no division by a multi-limb integer.
 
     By Legendre's formula the exponent of a prime p in C(a, b) is
     sum_i (a // p^i - b // p^i - (a - b) // p^i), the number of carries when
     b and a - b are added in base p (Kummer); see Goetgheluck 1987,
-    *Computing binomial coefficients*. Every prime above max(b, a - b) has
-    exponent 1, so those are one bisected slice of the sieve. A prime above
-    sqrt(a) has exponent 0 or 1, and 1 exactly when a mod p < b mod p (a
-    carry out of the last digit). Only the primes up to sqrt(a) need the full
-    sum. The prime powers are multiplied in a balanced product tree.
+    *Computing binomial coefficients*. A prime p above
+    edge = max(sqrt(a), min(b, a - b)) has at most one multiple in
+    (max(b, a - b), a], and exponent 1 exactly when it has one, so those
+    factors are the bisected slices of the sieve between max(b, a - b) // m
+    and a // m for m = 1, 2, ... A prime in (sqrt(a), edge] has exponent 0
+    or 1, and 1 exactly when a mod p < b mod p (a carry out of the last
+    digit). Only the primes up to sqrt(a) need the full sum.
     """
     primes = _primes_upto(max((a for a, _ in pairs), default=0))
     values = []
     for a, b in pairs:
+        if b > a:
+            values.append(0)
+            continue
         c = a - b
-        root = isqrt(a)
-        small = bisect_right(primes, root)
-        once = bisect_right(primes, max(b, c, root))
-        factors = primes[once : bisect_right(primes, a)]
-        factors += [p for p in primes[small:once] if a % p < b % p]
+        high, root = max(b, c), isqrt(a)
+        edge = max(root, min(b, c))
+        small, tested = bisect_right(primes, root), bisect_right(primes, edge)
+        factors = [p for p in primes[small:tested] if a % p < b % p]
+        for m in range(1, a // (edge + 1) + 1):
+            start = bisect_right(primes, max(high // m, edge), tested)
+            factors += primes[start : bisect_right(primes, a // m, start)]
         for p in primes[:small]:
             e, q = 0, p
             while q <= a:
@@ -101,80 +113,64 @@ def _binomials(pairs: Sequence[tuple[int, int]]) -> list[int]:
                 q *= p
             if e:
                 factors.append(p**e)
-        values.append(_product(factors))
+        values.append(_fold(factors, mul, 1))
     return values
 
 
-def _cpz_pair(n: int) -> tuple[int, int]:
-    return n**3 + 6 * n**2 - 6 * n + 2, n**3 - 1
-
-
-def _lzz_pair(n: int) -> tuple[int, int]:
-    return n**3 - ((n - 1) ** 3 + 1) // 2, 3 * n**2 - 3 * n + 1
-
-
-def _zz_half_pair(n: int) -> tuple[int, int]:
-    return n**3 + 3 * n**2 - 3 * n + 1, n**3
+def _pairs(n: int) -> dict[str, tuple[int, int]]:
+    """Every binomial C(a, b) of the bound chain at n, as (a, b) by name;
+    zz_opt is the first term of its sum, and loose is C(n^3 + 3n^2, n^3)."""
+    cubes, low = n**3, 3 * n**2 - 3 * n + 1
+    return {
+        "cpz": (cubes + 6 * n**2 - 6 * n + 2, cubes - 1),
+        "lzz1": (cubes - ((n - 1) ** 3 + 1) // 2, low),
+        "lzz2": (cubes - ((n - 1) ** 3 + 2) // 2, low),
+        "zz_opt": (cubes, n**2),
+        "mid": (cubes, low),
+        "zz_half": (cubes + low, cubes),
+        "loose": (cubes + 3 * n**2, cubes),
+    }
 
 
 def bound_cpz(n: int) -> Fraction:
     """Upper bound from hyperplane induction: C(p, n^3 - 1) / n^3 with
     p = n^3 + 6n^2 - 6n + 2. Not an integer in general, so kept rational."""
     _require_positive(n)
-    (top,) = _binomials([_cpz_pair(n)])
+    (top,) = _binomials([_pairs(n)["cpz"]])
     return Fraction(top, n**3)
-
-
-def _lzz_from_first(n: int, first: int) -> int:
-    """lzz from its first binomial C(a, k).
-
-    The two floors differ by at most one, so the second binomial is the
-    first times one ratio factor, C(a - 1, k) = C(a, k) (a - k) / a, or the
-    first itself.
-    """
-    a, low = _lzz_pair(n)
-    half1 = ((n - 1) ** 3 + 1) // 2
-    half2 = ((n - 1) ** 3 + 2) // 2
-    second = first if half2 == half1 else first * (a - low) // a
-    return first + second
 
 
 def bound_lzz(n: int) -> int:
     """Upper bound from the McMullen-style vertex maximum for a polytope of
     this dimension and facet count: a sum of two binomials."""
     _require_positive(n)
-    return _lzz_from_first(n, *_binomials([_lzz_pair(n)]))
+    pairs = _pairs(n)
+    return sum(_binomials([pairs["lzz1"], pairs["lzz2"]]))
 
 
-def _zz_opt_sum(n: int) -> tuple[int, int]:
-    """Sum of C(n^3, k) for k = n^2 .. 3n^2 - 3n + 1, and its last term.
+def _merge(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int, int, int]:
+    p1, q1, t1 = left
+    p2, q2, t2 = right
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _zz_opt_sum(n: int, first: int) -> int:
+    """Sum of C(n^3, k) for k = n^2 .. 3n^2 - 3n + 1, from its first term.
 
     Binary splitting (Haible & Papanikolaou 1998) of the term ratios
-    C(N, k+1) / C(N, k) = (N - k) / (k + 1): over the steps k = a .. b-1,
-    P and Q are the products of the numerators and denominators and T / Q
-    is the sum of the running ratio products, so the sum is
-    C(N, lo) (Q + T) / Q and the last term C(N, lo) P / Q, both exact.
+    C(N, k+1) / C(N, k) = (N - k) / (k + 1): over a run of steps, P and Q
+    are the products of the numerators and denominators and T / Q is the
+    sum of the running ratio products. Step k is the leaf (N - k, k + 1,
+    N - k), neighbouring runs combine by ``_merge``, and the sum is
+    first * (Q + T) / Q, exact.
     """
     cubes = n**3
-    lo, hi = n**2, 3 * n**2 - 3 * n + 1
-
-    def split(a: int, b: int) -> tuple[int, int, int]:
-        if b - a == 1:
-            return cubes - a, a + 1, cubes - a
-        m = (a + b) // 2
-        p1, q1, t1 = split(a, m)
-        p2, q2, t2 = split(m, b)
-        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-
-    first = binomial(cubes, lo)
-    if hi == lo:
-        return first, first
-    p, q, t = split(lo, hi)
-    total, r1 = divmod(first * (q + t), q)
-    last, r2 = divmod(first * p, q)
-    if r1 or r2:
+    leaves = [(cubes - k, k + 1, cubes - k) for k in range(n**2, 3 * n**2 - 3 * n + 1)]
+    _, q, t = _fold(leaves, _merge, (1, 1, 0))
+    total, rest = divmod(first * (q + t), q)
+    if rest:
         raise AssertionError(f"binary splitting of the zz_opt sum left a remainder at n = {n}")
-    return total, last
+    return total
 
 
 def bound_zz_opt(n: int) -> int:
@@ -182,23 +178,17 @@ def bound_zz_opt(n: int) -> int:
     support sizes k from n^2 through 3n^2 - 3n + 1.
 
     Evaluated by binary splitting of the term-ratio series: products of
-    balanced halves and two exact divisions, instead of about 2n^2
+    balanced halves and one exact division, instead of about 2n^2
     sequential big-integer steps.
     """
     _require_positive(n)
-    return _zz_opt_sum(n)[0]
-
-
-def _raise_upper(c: int, a: int, k: int, steps: int) -> int:
-    """C(a + steps, k) from c = C(a, k), by the ratio factors
-    C(a + i, k) / C(a + i - 1, k) = (a + i) / (a + i - k) for i = 1 .. steps."""
-    return c * prod(range(a + 1, a + steps + 1)) // prod(range(a + 1 - k, a + steps + 1 - k))
+    return _zz_opt_sum(n, *_binomials([_pairs(n)["zz_opt"]]))
 
 
 def bound_zz_half(n: int) -> int:
     """Upper bound from the halfspace description: C(n^3 + 3n^2 - 3n + 1, n^3)."""
     _require_positive(n)
-    (value,) = _binomials([_zz_half_pair(n)])
+    (value,) = _binomials([_pairs(n)["zz_half"]])
     return value
 
 
@@ -358,11 +348,12 @@ def verify_chain(n: int) -> BoundReport:
 
     lower: Union[int, Fraction] = count_latin_squares(n) if n <= 5 else bound_lower(n)
 
-    cpz_top, lzz_first, zz_half = _binomials([_cpz_pair(n), _lzz_pair(n), _zz_half_pair(n)])
-    cpz = Fraction(cpz_top, n**3)
-    lzz = _lzz_from_first(n, lzz_first)
-    zz_opt, mid = _zz_opt_sum(n)
-    loose = _raise_upper(zz_half, *_zz_half_pair(n), 3 * n - 1)
+    pairs = _pairs(n)
+    c = dict(zip(pairs, _binomials(list(pairs.values()))))
+    cpz = Fraction(c["cpz"], n**3)
+    lzz = c["lzz1"] + c["lzz2"]
+    zz_opt = _zz_opt_sum(n, c["zz_opt"])
+    mid, zz_half, loose = c["mid"], c["zz_half"], c["loose"]
 
     checks = {
         "lzz_lt_mid": lzz < mid,

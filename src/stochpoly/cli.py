@@ -70,7 +70,8 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the parser recurses
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
@@ -162,6 +163,8 @@ def cmd_vertices(args) -> int:
                 return EXIT_CLAIM_FAILED
     except ResourceCapExceeded as exc:
         return _fail(str(exc), EXIT_CAP)
+    except ValueError as exc:  # a malformed STOCHPOLY_MAX_CELLS
+        return _fail(str(exc), EXIT_USAGE)
     _emit(vs.to_json())
     return EXIT_OK
 

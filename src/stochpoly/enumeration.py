@@ -48,9 +48,9 @@ LATIN_MAX_N = 5
 HULL_LATIN_MAX_N = 4
 BRUTE_MAX_N = 3
 #: ceiling for the bound chain, whose binomials have about n^3 digits:
-#: verify_chain(64) takes about 0.10-0.12 s and the sweep 2..64 about 1.7 s
-#: (0.20 s and 3.3 s with math.comb for the binomials; 2-vCPU Intel Xeon VM,
-#: Python 3.11)
+#: verify_chain(64) takes about 0.09-0.10 s, verify_chain over 2..64 about
+#: 1.4-1.5 s, and `bounds 2 --sweep 64 --format json` about 2.3-2.5 s with
+#: its output (best of 3; 2-vCPU Intel Xeon VM, Python 3.11)
 BOUNDS_MAX_N = 64
 
 #: default work caps (candidate active sets / intermediate double

@@ -5,11 +5,8 @@ import pytest
 
 from stochpoly.bounds import (
     _binomials,
-    _cpz_pair,
-    _lzz_pair,
+    _pairs,
     _primes_upto,
-    _raise_upper,
-    _zz_half_pair,
     bound_cpz,
     bound_lower,
     bound_lzz,
@@ -195,7 +192,6 @@ def test_verify_chain_matches_binomial_definitions(n):
         "lower_le_lzz": lower <= lzz,
         "zz_half_lt_loose": zz_half < loose,
     }
-    assert _raise_upper(zz_half, cubes + low, cubes, 3 * n - 1) == loose
 
 
 def test_binomials_match_comb_up_to_300():
@@ -205,8 +201,10 @@ def test_binomials_match_comb_up_to_300():
 
 @pytest.mark.parametrize("n", [1, 2, 26, 50, 64])
 def test_binomials_match_comb_on_the_chain_pairs(n):
-    pairs = [_cpz_pair(n), _lzz_pair(n), _zz_half_pair(n)]
-    assert _binomials(pairs) == [math.comb(a, b) for a, b in pairs]
+    pairs = _pairs(n)
+    assert set(pairs) == {"cpz", "lzz1", "lzz2", "zz_opt", "mid", "zz_half", "loose"}
+    expected = [math.comb(a, b) for a, b in pairs.values()]  # comb is 0 for b > a
+    assert _binomials(list(pairs.values())) == expected
 
 
 def test_binomials_edge_cases():
@@ -215,6 +213,10 @@ def test_binomials_edge_cases():
     # all in one call sharing one sieve
     pairs = [(0, 0), (1, 0), (1, 1), (7, 0), (7, 7), (7, 3), (97, 48), (1009, 1), (1009, 500)]
     pairs += [(2**10, 2**9), (3**6, 100), (5**4, 5**3), (7**3, 7**2 + 1), (2**12, 1)]
+    # b > a is 0, as lzz's second binomial C(0, 1) at n = 1 needs; and pairs
+    # whose edge is min(b, a - b), well above sqrt(a), so the primes between
+    # take the carry test and the slices start above it
+    pairs += [(0, 1), (3, 5), (1000, 300), (100_000, 40_000), (100_000, 60_000)]
     assert _binomials(pairs) == [math.comb(a, b) for a, b in pairs]
     assert _binomials([]) == []
 
@@ -224,9 +226,3 @@ def test_primes_upto_matches_trial_division():
     for top in range(2000):
         assert _primes_upto(top) == [p for p in primes if p <= top]
 
-
-def test_raise_upper_matches_comb():
-    for a in range(12):
-        for k in range(a + 1):
-            for steps in range(5):
-                assert _raise_upper(math.comb(a, k), a, k, steps) == math.comb(a + steps, k)

@@ -348,3 +348,31 @@ def test_json_outputs_are_byte_identical(capsys, asset_dir):
     _, b1, _ = run(capsys, "bounds", "4", "--format", "json")
     _, b2, _ = run(capsys, "bounds", "4", "--format", "json")
     assert b1 == b2
+
+
+def test_deeply_nested_json_exits_1(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    target = tmp_path / "uniform2.json"
+    target.write_text(json.dumps(tensor_to_json(uniform_tensor(2))))
+    for argv in (
+        ("check-vertex", str(deep)),
+        ("decompose", str(deep)),
+        ("membership", str(target), "--generators", str(deep)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "recursion" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "1e3"])
+def test_malformed_cap_exits_1(capsys, monkeypatch, tmp_path, cap):
+    target = tmp_path / "uniform2.json"
+    target.write_text(json.dumps(tensor_to_json(uniform_tensor(2))))
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([tensor_to_json(uniform_tensor(2))]))
+    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", cap)
+    for argv in (("vertices", "2"), ("membership", str(target), "--generators", str(gens))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"STOCHPOLY_MAX_CELLS must be an integer, got {cap!r}" in err
