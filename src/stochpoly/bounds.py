@@ -90,13 +90,14 @@ def _binomials(pairs: Sequence[tuple[int, int]]) -> list[int]:
     factors are the bisected slices of the sieve between max(b, a - b) // m
     and a // m for m = 1, 2, ... A prime in (sqrt(a), edge] has exponent 0
     or 1, and 1 exactly when a mod p < b mod p (a carry out of the last
-    digit). Only the primes up to sqrt(a) need the full sum.
+    digit). Only the primes up to sqrt(a) need the full sum. A pair asked
+    for twice is computed once.
     """
     primes = _primes_upto(max((a for a, _ in pairs), default=0))
-    values = []
-    for a, b in pairs:
+    values = {}
+    for a, b in dict.fromkeys(pairs):
         if b > a:
-            values.append(0)
+            values[a, b] = 0
             continue
         c = a - b
         high, root = max(b, c), isqrt(a)
@@ -113,8 +114,8 @@ def _binomials(pairs: Sequence[tuple[int, int]]) -> list[int]:
                 q *= p
             if e:
                 factors.append(p**e)
-        values.append(_fold(factors, mul, 1))
-    return values
+        values[a, b] = _fold(factors, mul, 1)
+    return [values[pair] for pair in pairs]
 
 
 def _pairs(n: int) -> dict[str, tuple[int, int]]:

@@ -75,6 +75,16 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_cap(cells: int, what: str) -> None:
+    """Refuse work over more than STOCHPOLY_MAX_CELLS cells before it starts;
+    a malformed cap raises ValueError."""
+    cap = _max_cells()
+    if cells > cap:
+        raise ResourceCapExceeded(
+            f"{what} of {cells} cells exceeds the cap of {cap} (raise {CAP_ENV} to override)"
+        )
+
+
 def _bounds_table(report) -> str:
     rows = [
         ("lower_latin", format_rational(Fraction(report.lower_latin))),
@@ -172,6 +182,10 @@ def cmd_vertices(args) -> int:
 def cmd_check_vertex(args) -> int:
     try:
         tensor = tensor_from_json(_load_json(args.tensor_file))
+        # the equality system has one row per line and one column per entry
+        _check_cap(3 * tensor.n**2 * tensor.n**3, "an equality system")
+    except ResourceCapExceeded as exc:
+        return _fail(str(exc), EXIT_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     cert = is_vertex(tensor)
@@ -194,14 +208,11 @@ def cmd_membership(args) -> int:
             raw = _load_json(args.generators)
             if not isinstance(raw, list):
                 raise ValueError("generator file must be a JSON array of tensors")
-            # the LP matrix has one row per tensor entry plus the weight sum
-            cells, cap = (tensor.n**3 + 1) * len(raw), _max_cells()
-            if cells > cap:
-                return _fail(
-                    f"a membership LP of {cells} matrix cells exceeds the cap of {cap} "
-                    f"(raise {CAP_ENV} to override)",
-                    EXIT_CAP,
-                )
+            # the phase-1 tableau: the LP's m rows (one per tensor entry, one
+            # for the weight sum) and the objective, by one column per
+            # generator, one artificial per row and the right-hand side
+            m = tensor.n**3 + 1
+            _check_cap((m + 1) * (len(raw) + m + 1), "a membership LP tableau")
             generators = [tensor_from_json(obj) for obj in raw]
         result = in_permutation_hull(tensor, generators)
     except ResourceCapExceeded as exc:
@@ -250,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stochpoly",
         description=__doc__.splitlines()[0],
         epilog="STOCHPOLY_MAX_CELLS caps enumeration work (candidate active sets / "
-        "intermediate rays) and the matrix cells of a membership LP over a generator "
-        "file; default 4000000.",
+        "intermediate rays), the cells of check-vertex's equality system and of the "
+        "simplex tableau of a membership LP over a generator file; default 4000000.",
     )
     parser.add_argument("--version", action="version", version=f"stochpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,12 +19,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd
 from typing import Optional, Sequence
 
 from . import _kernels
 from .polytope import build_lp_polytope
-from .tensor import LatinSquare, Tensor3, tensor_to_json
+from .tensor import LatinSquare, Tensor3, flatten_index, lines, tensor_to_json
 
 __all__ = [
     "ResourceCapExceeded",
@@ -185,15 +186,11 @@ class VertexSet:
 
 
 def _is_zero_one(t: Tensor3) -> bool:
-    return all(v == 0 or v == 1 for layer in t.entries for row in layer for v in row)
+    return all(v == 0 or v == 1 for v in t.flatten())
 
 
 def _vertex_set(n: int, points: set[tuple[Fraction, ...]]) -> VertexSet:
-    tensors = []
-    for flat in sorted(points):
-        it = iter(flat)
-        tensors.append(Tensor3([[[next(it) for _ in range(n)] for _ in range(n)] for _ in range(n)]))
-    return VertexSet(n=n, vertices=tuple(tensors))
+    return VertexSet(n=n, vertices=tuple(Tensor3.from_flat(n, flat) for flat in sorted(points)))
 
 
 def enumerate_vertices_bruteforce(n: int) -> VertexSet:
@@ -233,17 +230,11 @@ def _null_basis(n: int) -> list[list[int]]:
     all line sums vanish; leading-corner positions make the family
     independent, and there are (n-1)^3 = n^3 - rank(A) of them."""
     basis = []
-    nv = n**3
-    for i in range(n - 1):
-        for j in range(n - 1):
-            for k in range(n - 1):
-                vec = [0] * nv
-                for a in (0, 1):
-                    for b in (0, 1):
-                        for c in (0, 1):
-                            idx = ((i + a) * n + (j + b)) * n + (k + c)
-                            vec[idx] = 1 if (a + b + c) % 2 == 0 else -1
-                basis.append(vec)
+    for i, j, k in product(range(n - 1), repeat=3):
+        vec = [0] * n**3
+        for a, b, c in product((0, 1), repeat=3):
+            vec[flatten_index(n, i + a, j + b, k + c)] = (-1) ** (a + b + c)
+        basis.append(vec)
     return basis
 
 
@@ -343,8 +334,9 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
         processed |= 1 << cut
 
     points: set[tuple[Fraction, ...]] = set()
+    _, line = next(lines(n))
     for s, _ in rays:
-        line_sum = sum(s[:n])
+        line_sum = sum(s[c] for c in line)
         if line_sum <= 0:
             raise AssertionError("unbounded direction found in a bounded polytope")
         points.add(tuple(Fraction(x, line_sum) for x in s))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from ._kernels import pivot
 from .numerics import format_rational
-from .tensor import Tensor3, is_line_stochastic
+from .tensor import Tensor3, tensor_to_latin
 
 __all__ = [
     "LPProblem",
@@ -172,20 +172,15 @@ def membership_problem(t: Tensor3, generators: Sequence[Tensor3]) -> LPProblem:
     summing to 1."""
     if not generators:
         raise ValueError("need at least one generator")
-    n = t.n
     for g in generators:
-        if g.n != n:
+        if g.n != t.n:
             raise ValueError("generator dimension mismatch")
-        if not is_line_stochastic(g):
-            raise ValueError("generators must be line-stochastic")
-        if any(v not in (0, 1) for layer in g.entries for row in layer for v in row):
-            raise ValueError("generators must be (0,1)-tensors")
-    flat_t = t.flatten()
-    flats = [g.flatten() for g in generators]
-    matrix = [[flats[g][p] for g in range(len(generators))] for p in range(n**3)]
-    matrix.append([Fraction(1)] * len(generators))
-    rhs = list(flat_t) + [Fraction(1)]
-    return LPProblem.build(matrix, rhs)
+        try:
+            tensor_to_latin(g)
+        except ValueError as exc:
+            raise ValueError(f"generators must be permutation tensors: {exc}") from exc
+    matrix = [*zip(*(g.flatten() for g in generators)), [Fraction(1)] * len(generators)]
+    return LPProblem.build(matrix, [*t.flatten(), Fraction(1)])
 
 
 def in_permutation_hull(t: Tensor3, generators: Sequence[Tensor3]) -> FeasibilityResult:

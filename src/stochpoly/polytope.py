@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import _kernels
-from .tensor import Line, Tensor3, check_line_stochastic, lines, support
+from .tensor import Line, Tensor3, check_line_stochastic, lines
 
 __all__ = [
     "HPolytope",
@@ -25,13 +25,7 @@ __all__ = [
     "rank_exact",
     "is_vertex",
     "polytope_dimension",
-    "flatten_index",
 ]
-
-
-def flatten_index(n: int, i: int, j: int, k: int) -> int:
-    """Column index of entry (i, j, k), all 0-based: ((i*n) + j)*n + k."""
-    return (i * n + j) * n + k
 
 
 @dataclass(frozen=True)
@@ -66,8 +60,8 @@ def build_lp_polytope(n: int) -> HPolytope:
     labels = []
     for line, cells in lines(n):
         row = [0] * nv
-        for i, j, k in cells:
-            row[flatten_index(n, i, j, k)] = 1
+        for c in cells:
+            row[c] = 1
         rows.append(tuple(row))
         labels.append(line)
     # structural invariants: n ones per row, 3 ones per column
@@ -121,7 +115,7 @@ def is_vertex(t: Tensor3) -> VertexCertificate:
     vertices exactly when their support columns have full rank.
     """
     hp = build_lp_polytope(t.n)
-    supp = sorted(flatten_index(t.n, i, j, k) for i, j, k in support(t))
+    supp = [c for c, v in enumerate(t.flatten()) if v != 0]
     check = check_line_stochastic(t)
     if not check.ok:
         return VertexCertificate(

@@ -11,11 +11,13 @@ descriptors report 1-based indices.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .numerics import format_rational, json_int, parse_rational
 
 __all__ = [
+    "flatten_index",
     "Tensor3",
     "LatinSquare",
     "Line",
@@ -53,55 +55,78 @@ class LineCheck(NamedTuple):
     violation: Optional[Line]
 
 
+def flatten_index(n: int, i: int, j: int, k: int) -> int:
+    """Position of entry (i, j, k), all 0-based, in a tensor's row-major
+    flat tuple; also the entry's column in the polytope's equality system."""
+    return (i * n + j) * n + k
+
+
 class Tensor3:
     """Dense n x n x n tensor of exact rationals, immutable value type.
 
-    ``entries[i][j][k]`` is the entry at (i+1, j+1, k+1) in 1-based notation.
+    The entries are stored once, as the row-major flat tuple that
+    ``flatten()`` returns: entry (i, j, k), 0-based, sits at
+    ``flatten_index(n, i, j, k)``.
     """
 
-    __slots__ = ("n", "entries", "_hash")
+    __slots__ = ("n", "_flat")
 
     def __init__(self, entries: Sequence[Sequence[Sequence[Fraction | int | str]]]):
         n = len(entries)
         if n == 0:
             raise ValueError("empty tensor")
-        rows = []
+        flat = []
         for layer in entries:
             if len(layer) != n:
                 raise ValueError(f"tensor is not cubical: expected {n} rows")
-            cols = []
             for row in layer:
                 if len(row) != n:
                     raise ValueError(f"tensor is not cubical: expected {n} columns")
-                cols.append(tuple(Fraction(v) for v in row))
-            rows.append(tuple(cols))
+                flat.extend(Fraction(v) for v in row)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_flat", tuple(flat))
+
+    @classmethod
+    def from_flat(cls, n: int, values: Iterable[Fraction | int | str]) -> "Tensor3":
+        """The tensor of order n whose row-major flattening is ``values``."""
+        flat = tuple(Fraction(v) for v in values)
+        if n < 1 or len(flat) != n**3:
+            raise ValueError(f"a tensor of order {n} needs n^3 entries, got {len(flat)}")
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "_flat", flat)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 
-    def __getitem__(self, idx: tuple[int, int, int]) -> Fraction:
-        i, j, k = idx
-        return self.entries[i][j][k]
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        """Row-major flattening; entry (i, j, k) lands at ((i*n) + j)*n + k."""
-        n = self.n
+    @property
+    def entries(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Nested read-only view: ``entries[i][j][k]`` is the entry at
+        (i+1, j+1, k+1) in 1-based notation."""
+        n, flat = self.n, self._flat
         return tuple(
-            self.entries[i][j][k] for i in range(n) for j in range(n) for k in range(n)
+            tuple(flat[r : r + n] for r in range(start, start + n * n, n))
+            for start in range(0, n**3, n * n)
         )
 
+    def __getitem__(self, idx: tuple[int, int, int]) -> Fraction:
+        i, j, k = idx
+        n = self.n
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise IndexError(f"tensor index {idx} out of range for order {n}")
+        return self._flat[flatten_index(n, i, j, k)]
+
+    def flatten(self) -> tuple[Fraction, ...]:
+        """The stored row-major tuple; entry (i, j, k) sits at
+        ``flatten_index(n, i, j, k)``."""
+        return self._flat
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Tensor3) and self.entries == other.entries
+        return isinstance(other, Tensor3) and self._flat == other._flat
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._flat)
 
     def __repr__(self) -> str:
         return f"Tensor3(n={self.n})"
@@ -144,33 +169,31 @@ class LatinSquare:
         return f"LatinSquare({[list(r) for r in self.cells]})"
 
 
-def lines(n: int) -> Iterator[tuple[Line, list[tuple[int, int, int]]]]:
-    """All 3n^2 lines in canonical order: axis-3 lines (fix i, j), then
-    axis-2 (fix i, k), then axis-1 (fix j, k), lexicographic within each
-    block. This order matches the constraint-row order of the polytope's
-    equality system."""
+def lines(n: int) -> Iterator[tuple[Line, range]]:
+    """All 3n^2 lines in canonical order, each with the flat indices of its
+    n cells: axis-3 lines (fix i, j), then axis-2 (fix i, k), then axis-1
+    (fix j, k), lexicographic within each block. This order matches the
+    constraint-row order of the polytope's equality system."""
     rng = range(n)
     for i in rng:
         for j in rng:
-            yield Line(3, (i + 1, j + 1)), [(i, j, k) for k in rng]
+            start = flatten_index(n, i, j, 0)
+            yield Line(3, (i + 1, j + 1)), range(start, start + n)
     for i in rng:
         for k in rng:
-            yield Line(2, (i + 1, k + 1)), [(i, j, k) for j in rng]
+            start = flatten_index(n, i, 0, k)
+            yield Line(2, (i + 1, k + 1)), range(start, start + n * n, n)
     for j in rng:
         for k in rng:
-            yield Line(1, (j + 1, k + 1)), [(i, j, k) for i in rng]
+            yield Line(1, (j + 1, k + 1)), range(flatten_index(n, 0, j, k), n**3, n * n)
 
 
 def check_line_stochastic(t: Tensor3) -> LineCheck:
     """Verdict plus the first violating line (negative entry or sum != 1)."""
+    flat = t.flatten()
     for line, cells in lines(t.n):
-        total = Fraction(0)
-        for i, j, k in cells:
-            v = t.entries[i][j][k]
-            if v < 0:
-                return LineCheck(False, line)
-            total += v
-        if total != 1:
+        values = [flat[c] for c in cells]
+        if min(values) < 0 or sum(values) != 1:
             return LineCheck(False, line)
     return LineCheck(True, None)
 
@@ -183,47 +206,38 @@ def latin_to_tensor(s: LatinSquare) -> Tensor3:
     """The (0,1) tensor with a 1 at (i, j, k) exactly when cell (i, j) of the
     square holds symbol k."""
     n = s.n
-    return Tensor3(
-        [
-            [[1 if s.cells[i][j] == k + 1 else 0 for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+    return Tensor3.from_flat(
+        n, [int(symbol == k + 1) for row in s.cells for symbol in row for k in range(n)]
     )
 
 
 def tensor_to_latin(t: Tensor3) -> LatinSquare:
-    """Inverse of latin_to_tensor; rejects tensors that are not (0,1)-valued
-    line-stochastic."""
+    """Inverse of latin_to_tensor, and the test for a permutation tensor.
+
+    A (0,1) tensor is line-stochastic exactly when it is the tensor of a
+    Latin square: its axis-3 lines say that each cell (i, j) holds one
+    symbol, and its axis-2 and axis-1 lines that each symbol appears once
+    in every row and every column. Raises ValueError naming an entry that
+    is not 0 or 1, else a cell without exactly one symbol, else a row or
+    column of the square that repeats a symbol.
+    """
     n = t.n
-    check = check_line_stochastic(t)
-    if not check.ok:
-        raise ValueError(f"tensor is not line-stochastic (line {check.violation})")
-    cells = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            symbol = None
-            for k in range(n):
-                v = t.entries[i][j][k]
-                if v == 1:
-                    symbol = k + 1
-                elif v != 0:
-                    raise ValueError(f"entry at ({i + 1},{j + 1},{k + 1}) is not 0 or 1")
-            row.append(symbol)
-        cells.append(row)
-    return LatinSquare(cells)
+    cells = [[[] for _ in range(n)] for _ in range(n)]  # the symbols in cell (i, j)
+    for (i, j, k), v in zip(product(range(n), repeat=3), t.flatten()):
+        if v != 0 and v != 1:
+            raise ValueError(f"entry at ({i + 1},{j + 1},{k + 1}) is not 0 or 1")
+        if v:
+            cells[i][j].append(k + 1)
+    for i, j in product(range(n), repeat=2):
+        if len(cells[i][j]) != 1:
+            raise ValueError(f"cell ({i + 1},{j + 1}) holds {len(cells[i][j])} symbols, not 1")
+    return LatinSquare([[cell[0] for cell in row] for row in cells])
 
 
 def support(t: Tensor3) -> frozenset[tuple[int, int, int]]:
     """0-based index triples of the nonzero entries."""
-    n = t.n
-    return frozenset(
-        (i, j, k)
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if t.entries[i][j][k] != 0
-    )
+    rng = range(t.n)
+    return frozenset(idx for idx, v in zip(product(rng, repeat=3), t.flatten()) if v != 0)
 
 
 def convex_combine(
@@ -240,25 +254,18 @@ def convex_combine(
     n = tensors[0].n
     if any(t.n != n for t in tensors):
         raise ValueError("dimension mismatch among tensors")
-    rng = range(n)
-    return Tensor3(
+    return Tensor3.from_flat(
+        n,
         [
-            [
-                [
-                    sum((w * t.entries[i][j][k] for w, t in zip(ws, tensors)), Fraction(0))
-                    for k in rng
-                ]
-                for j in rng
-            ]
-            for i in rng
-        ]
+            sum((w * v for w, v in zip(ws, values)), Fraction(0))
+            for values in zip(*(t.flatten() for t in tensors))
+        ],
     )
 
 
 def uniform_tensor(n: int) -> Tensor3:
     """All entries 1/n; the barycenter of the polytope."""
-    v = Fraction(1, n)
-    return Tensor3([[[v] * n] * n] * n)
+    return Tensor3.from_flat(n, [Fraction(1, n)] * n**3)
 
 
 # Frontal layers (layer k holds the matrix over (i, j)) of the standard
@@ -275,13 +282,9 @@ _FRACTIONAL_VERTEX_LAYERS = (
 
 def fractional_vertex_example() -> Tensor3:
     """The canonical half-integer vertex of the n = 3 polytope."""
-    n = 3
     half = Fraction(1, 2)
-    return Tensor3(
-        [
-            [[half * _FRACTIONAL_VERTEX_LAYERS[k][i][j] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+    return Tensor3.from_flat(
+        3, [half * _FRACTIONAL_VERTEX_LAYERS[k][i][j] for i, j, k in product(range(3), repeat=3)]
     )
 
 

@@ -8,6 +8,9 @@ from stochpoly.enumeration import (
     enumerate_vertices_dd,
 )
 from stochpoly.tensor import (
+    LatinSquare,
+    Tensor3,
+    flatten_index,
     fractional_vertex_example,
     latin_to_tensor,
     tensor_to_json,
@@ -25,6 +28,24 @@ def half_vertex():
 def latin3_tensors():
     """All 12 permutation tensors of dimension 3, generated, not typed in."""
     return [latin_to_tensor(s) for s in enumerate_latin_squares(3)]
+
+
+@pytest.fixture(scope="session")
+def zero_one_not_latin():
+    """(0,1) tensors of order 3 that are not line-stochastic, each with the
+    start of the error that names what is wrong."""
+    cyclic = latin_to_tensor(LatinSquare([[1, 2, 3], [2, 3, 1], [3, 1, 2]]))
+    two_symbols = list(cyclic.flatten())
+    two_symbols[flatten_index(3, 0, 0, 1)] = 1  # cell (1,1) holds symbols 1 and 2
+    column_repeat = [[1, 2, 3], [1, 2, 3], [2, 3, 1]]  # rows are permutations
+    return [
+        (Tensor3.from_flat(3, [0] * 27), "cell (1,1) holds 0 symbols"),
+        (Tensor3.from_flat(3, two_symbols), "cell (1,1) holds 2 symbols"),
+        (
+            Tensor3([[[int(s == k + 1) for k in range(3)] for s in row] for row in column_repeat]),
+            "column 1 is not a permutation",
+        ),
+    ]
 
 
 @pytest.fixture(scope="session")

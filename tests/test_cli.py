@@ -299,14 +299,53 @@ def test_membership_generator_file_cap_is_checked_before_work(capsys, monkeypatc
     gens = tmp_path / "gens.json"
     # entries that do not parse: the cap has to refuse before they are read
     gens.write_text(json.dumps([tensor_to_json(perm), "not a tensor", {"n": 2.5}]))
-    cells = (3**3 + 1) * 3  # one LP row per entry plus the weight sum, one column per generator
+    # the phase-1 tableau: m = 3^3 + 1 LP rows plus the objective, by the
+    # 3 generator columns, m artificials and the right-hand side
+    m = 3**3 + 1
+    cells = (m + 1) * (3 + m + 1)
     monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells - 1))
     code, out, err = run(capsys, "membership", str(target), "--generators", str(gens))
     assert (code, out) == (3, "")
-    assert f"{cells} matrix cells exceeds the cap of {cells - 1}" in err
+    assert f"{cells} cells exceeds the cap of {cells - 1}" in err
     monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells))
     code, out, _ = run(capsys, "membership", str(target), "--generators", str(gens))
     assert (code, out) == (1, "")
+    # n = 16 with one generator: 4 098 x 4 099 tableau entries pass the default cap
+    monkeypatch.delenv("STOCHPOLY_MAX_CELLS")
+    big = tmp_path / "uniform16.json"
+    big.write_text(json.dumps(tensor_to_json(uniform_tensor(16))))
+    gens.write_text(json.dumps([tensor_to_json(uniform_tensor(16))]))
+    code, out, err = run(capsys, "membership", str(big), "--generators", str(gens))
+    assert (code, out) == (3, "")
+    assert f"{4098 * 4099} cells exceeds the cap of 4000000" in err
+
+
+def test_check_vertex_cap_is_checked_before_work(capsys, monkeypatch, tmp_path, half_vertex):
+    target = tmp_path / "half.json"
+    target.write_text(json.dumps(tensor_to_json(half_vertex)))
+    cells = 3 * 3**2 * 3**3  # one equality row per line, one column per entry
+    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells))
+    assert run(capsys, "check-vertex", str(target))[0] == 0
+
+    def refuse(t):
+        raise AssertionError("is_vertex ran past the cap")
+
+    monkeypatch.setattr(cli, "is_vertex", refuse)
+    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells - 1))
+    code, out, err = run(capsys, "check-vertex", str(target))
+    assert (code, out) == (3, "")
+    assert f"{cells} cells exceeds the cap of {cells - 1}" in err
+    # under the default cap n = 16 passes (3 145 728 cells) and n = 17 does not
+    monkeypatch.delenv("STOCHPOLY_MAX_CELLS")
+    big = tmp_path / "uniform16.json"
+    big.write_text(json.dumps(tensor_to_json(uniform_tensor(16))))
+    with pytest.raises(AssertionError, match="past the cap"):
+        run(capsys, "check-vertex", str(big))
+    big = tmp_path / "uniform17.json"
+    big.write_text(json.dumps(tensor_to_json(uniform_tensor(17))))
+    code, out, err = run(capsys, "check-vertex", str(big))
+    assert (code, out) == (3, "")
+    assert f"{3 * 17**5} cells exceeds the cap of 4000000" in err
 
 
 def test_oversized_exponent_exits_1(capsys, tmp_path):
@@ -372,7 +411,11 @@ def test_malformed_cap_exits_1(capsys, monkeypatch, tmp_path, cap):
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([tensor_to_json(uniform_tensor(2))]))
     monkeypatch.setenv("STOCHPOLY_MAX_CELLS", cap)
-    for argv in (("vertices", "2"), ("membership", str(target), "--generators", str(gens))):
+    for argv in (
+        ("vertices", "2"),
+        ("check-vertex", str(target)),
+        ("membership", str(target), "--generators", str(gens)),
+    ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert f"STOCHPOLY_MAX_CELLS must be an integer, got {cap!r}" in err

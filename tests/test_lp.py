@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -79,13 +80,16 @@ def test_single_generator_self_membership(latin3_tensors):
     assert res.witness == (Fraction(1),)
 
 
-def test_generator_validation(half_vertex, latin3_tensors):
+def test_generator_validation(half_vertex, latin3_tensors, zero_one_not_latin):
     with pytest.raises(ValueError):
         in_permutation_hull(half_vertex, [])
     with pytest.raises(ValueError):
         in_permutation_hull(half_vertex, [uniform_tensor(3)])  # not (0,1)
     with pytest.raises(ValueError):
         in_permutation_hull(half_vertex, [latin_to_tensor(LatinSquare([[1, 2], [2, 1]]))])
+    for bad, message in zero_one_not_latin:  # (0,1) but not line-stochastic
+        with pytest.raises(ValueError, match=rf"permutation tensors: {re.escape(message)}"):
+            in_permutation_hull(half_vertex, [*latin3_tensors, bad])
 
 
 def test_bland_terminates_on_degenerate_duplicated_rows():

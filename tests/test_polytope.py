@@ -6,7 +6,6 @@ import pytest
 from stochpoly.enumeration import enumerate_latin_squares
 from stochpoly.polytope import (
     build_lp_polytope,
-    flatten_index,
     is_vertex,
     polytope_dimension,
     rank_exact,
@@ -14,6 +13,7 @@ from stochpoly.polytope import (
 from stochpoly.tensor import (
     Tensor3,
     convex_combine,
+    flatten_index,
     latin_to_tensor,
     support,
     uniform_tensor,

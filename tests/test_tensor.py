@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from stochpoly.tensor import (
     Tensor3,
     check_line_stochastic,
     convex_combine,
+    flatten_index,
     is_line_stochastic,
     latin_from_json,
     latin_to_json,
@@ -64,9 +66,53 @@ def test_tensor_is_immutable_and_hashable(half_vertex):
     assert hash(half_vertex) == hash(Tensor3(half_vertex.entries))
 
 
+def test_from_flat_round_trip(half_vertex, latin3_tensors):
+    for t in [half_vertex, *latin3_tensors]:
+        again = Tensor3.from_flat(t.n, t.flatten())
+        assert again == t
+        assert hash(again) == hash(t)
+        assert again.entries == t.entries
+    for values in ([0] * 26, [0] * 28, []):
+        with pytest.raises(ValueError):
+            Tensor3.from_flat(3, values)
+
+
+def test_getitem_reads_the_flat_tuple(half_vertex):
+    n = half_vertex.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                value = half_vertex[i, j, k]
+                assert value == half_vertex.entries[i][j][k]
+                assert value == half_vertex.flatten()[flatten_index(n, i, j, k)]
+    with pytest.raises(IndexError):
+        half_vertex[0, 3, 0]
+
+
 def test_line_count():
     assert len(list(lines(3))) == 27
     assert len(list(lines(2))) == 12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lines_hold_the_flat_indices_of_their_cells(n):
+    rng = range(n)
+    per_index = [0] * n**3
+    for line, cells in lines(n):
+        cells = list(cells)
+        assert len(set(cells)) == n
+        a, b = (x - 1 for x in line.fixed)  # the fixed indices, 0-based
+        expected = {
+            3: [flatten_index(n, a, b, v) for v in rng],
+            2: [flatten_index(n, a, v, b) for v in rng],
+            1: [flatten_index(n, v, a, b) for v in rng],
+        }[line.axis]
+        assert cells == expected
+        for c in cells:
+            per_index[c] += 1
+    assert per_index == [3] * n**3
+    line, cells = next(lines(n))
+    assert (line, list(cells)) == (Line(3, (1, 1)), list(range(n)))
 
 
 def test_latin_square_validation():
@@ -118,8 +164,15 @@ def test_round_trip_order4():
 
 
 def test_tensor_to_latin_rejects_fractional(half_vertex):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not 0 or 1"):
         tensor_to_latin(half_vertex)
+
+
+def test_tensor_to_latin_rejects_zero_one_tensors_off_the_polytope(zero_one_not_latin):
+    for bad, message in zero_one_not_latin:
+        assert not is_line_stochastic(bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tensor_to_latin(bad)
 
 
 def test_support(half_vertex):
