@@ -18,8 +18,12 @@ n = 50) is built from its prime factorisation: one sieve up to the largest
 top index, Legendre's formula for each exponent and a balanced product, so
 no step divides a multi-limb integer (``_binomials``). The zz_opt sum takes
 its first term from there and the rest from one binary splitting of its term
-ratios, folded in the same balanced order (``_fold``) and ended by one exact
-division.
+ratios: leaves of 32 consecutive steps, each built by one Horner loop, folded
+in the same balanced order (``_fold``) as two halves whose root forms only Q
+and T, and ended by one exact division. The values have about n^3 digits;
+``BoundReport.to_json`` writes them with ``numerics.format_int``, which
+splits a long value at powers of ten and converts only pieces of at most
+1000 digits.
 The two combinatorial lemmas the comparisons rest on (the shifted-binomial
 doubling inequality and a hockey-stick style sum bound) are exposed as
 checkable statements so they can be swept for counterexamples.
@@ -149,6 +153,10 @@ def bound_lzz(n: int) -> int:
     return sum(_binomials([pairs["lzz1"], pairs["lzz2"]]))
 
 
+#: ratio steps per leaf of the zz_opt splitting; 16 to 128 time alike
+_ZZ_BLOCK = 32
+
+
 def _merge(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int, int, int]:
     p1, q1, t1 = left
     p2, q2, t2 = right
@@ -161,13 +169,25 @@ def _zz_opt_sum(n: int, first: int) -> int:
     Binary splitting (Haible & Papanikolaou 1998) of the term ratios
     C(N, k+1) / C(N, k) = (N - k) / (k + 1): over a run of steps, P and Q
     are the products of the numerators and denominators and T / Q is the
-    sum of the running ratio products. Step k is the leaf (N - k, k + 1,
-    N - k), neighbouring runs combine by ``_merge``, and the sum is
-    first * (Q + T) / Q, exact.
+    sum of the running ratio products. Each leaf is a block of
+    ``_ZZ_BLOCK`` consecutive steps, built by one Horner loop that appends
+    one step at a time, exactly as ``_merge`` would. The blocks are folded
+    by ``_merge`` in two halves, and the root forms only the Q and T it
+    uses; the sum is first * (Q + T) / Q, exact.
     """
-    cubes = n**3
-    leaves = [(cubes - k, k + 1, cubes - k) for k in range(n**2, 3 * n**2 - 3 * n + 1)]
-    _, q, t = _fold(leaves, _merge, (1, 1, 0))
+    cubes, steps = n**3, range(n**2, 3 * n**2 - 3 * n + 1)
+    blocks = []
+    for start in range(0, len(steps), _ZZ_BLOCK):
+        p, q, t = 1, 1, 0
+        for k in steps[start : start + _ZZ_BLOCK]:
+            t = t * (k + 1) + p * (cubes - k)
+            p *= cubes - k
+            q *= k + 1
+        blocks.append((p, q, t))
+    half = len(blocks) // 2
+    p1, q1, t1 = _fold(blocks[:half], _merge, (1, 1, 0))
+    _, q2, t2 = _fold(blocks[half:], _merge, (1, 1, 0))
+    q, t = q1 * q2, t1 * q2 + p1 * t2
     total, rest = divmod(first * (q + t), q)
     if rest:
         raise AssertionError(f"binary splitting of the zz_opt sum left a remainder at n = {n}")
@@ -178,9 +198,10 @@ def bound_zz_opt(n: int) -> int:
     """Upper bound from basic-solution counting: sum of C(n^3, k) for
     support sizes k from n^2 through 3n^2 - 3n + 1.
 
-    Evaluated by binary splitting of the term-ratio series: products of
-    balanced halves and one exact division, instead of about 2n^2
-    sequential big-integer steps.
+    Evaluated by binary splitting of the term-ratio series: leaves of 32
+    consecutive ratio steps, products of balanced halves, a root that skips
+    the unused product of numerators, and one exact division, instead of
+    about 2n^2 sequential big-integer steps.
     """
     _require_positive(n)
     return _zz_opt_sum(n, *_binomials([_pairs(n)["zz_opt"]]))

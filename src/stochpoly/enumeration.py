@@ -49,8 +49,8 @@ LATIN_MAX_N = 5
 HULL_LATIN_MAX_N = 4
 BRUTE_MAX_N = 3
 #: ceiling for the bound chain, whose binomials have about n^3 digits:
-#: verify_chain(64) takes about 0.09-0.10 s, verify_chain over 2..64 about
-#: 1.4-1.5 s, and `bounds 2 --sweep 64 --format json` about 2.3-2.5 s with
+#: verify_chain(64) takes about 0.05 s, verify_chain over 2..64 about
+#: 0.75-0.95 s, and `bounds 2 --sweep 64 --format json` about 1.2-1.3 s with
 #: its output (best of 3; 2-vCPU Intel Xeon VM, Python 3.11)
 BOUNDS_MAX_N = 64
 

@@ -21,6 +21,8 @@ _RATIONAL = re.compile(
 #: largest decimal exponent ``parse_rational`` expands: 1e10000 is a
 #: 33 000-bit integer, while 1e10000000 took 15.8 s to build
 MAX_EXPONENT = 10_000
+#: most digits ``format_int`` converts in one quadratic step
+_FORMAT_LEAF = 1000
 
 __all__ = [
     "Rational",
@@ -100,10 +102,40 @@ def format_int(value: int) -> str:
     """Decimal digits of an integer, however many there are.
 
     ``str(int)`` refuses integers past ``sys.get_int_max_str_digits()``
-    (4300 digits by default), which the bound values pass from n = 26 on;
-    the conversion through Decimal has no such limit and is exact.
+    (4300 digits by default), which the bound values pass from n = 26 on,
+    so every conversion goes through Decimal, which has no such limit and is
+    exact. That conversion is quadratic in the digit count, so a value of
+    more than ``_FORMAT_LEAF`` digits is first split by divide and conquer
+    (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7): for an
+    upper bound w on its digit count, divmod by 10^(w // 2) gives a high
+    piece of at most w - w // 2 digits and a low piece written zero-padded
+    to w // 2, each split again until it fits a leaf. Each power of ten is
+    built once per call; the leading piece is written unpadded, and dropped
+    while it is zero.
     """
-    return str(Decimal(value))
+    # an upper bound on the digit count, as log10(2) < 0.30103
+    width = value.bit_length() * 30103 // 100_000 + 1
+    if width <= _FORMAT_LEAF:
+        return str(Decimal(value))
+    pieces = ["-"] if value < 0 else []
+    powers: dict[int, int] = {}
+
+    def write(v: int, width: int, lead: bool) -> None:
+        if width <= _FORMAT_LEAF:
+            digits = str(Decimal(v))
+            pieces.append(digits if lead else digits.zfill(width))
+            return
+        low = width // 2
+        if low not in powers:
+            powers[low] = 10**low
+        high, rest = divmod(v, powers[low])
+        if high or not lead:
+            write(high, width - low, lead)
+            lead = False
+        write(rest, low, lead)
+
+    write(abs(value), width, True)
+    return "".join(pieces)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -100,6 +100,11 @@ class Tensor3:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by restoring
+        # slots through the refusing __setattr__
+        return type(self).from_flat, (self.n, self._flat)
+
     @property
     def entries(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """Nested read-only view: ``entries[i][j][k]`` is the entry at
@@ -155,6 +160,9 @@ class LatinSquare:
 
     def __setattr__(self, name, value):
         raise AttributeError("LatinSquare is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.cells,)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatinSquare) and self.cells == other.cells

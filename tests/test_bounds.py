@@ -1,12 +1,16 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from stochpoly import bounds
 from stochpoly.bounds import (
     _binomials,
     _pairs,
     _primes_upto,
+    _zz_opt_sum,
     bound_cpz,
     bound_lower,
     bound_lzz,
@@ -172,7 +176,9 @@ def test_zz_opt_matches_literal_sum(n):
     assert bound_zz_opt(n) == sum(math.comb(n**3, k) for k in range(n**2, 3 * n**2 - 3 * n + 2))
 
 
-@pytest.mark.parametrize("n", [*range(2, 13), 26, 50, 64])
+# n = 14, 32, 33 and 46 have (2n - 1)(n - 1) = 31, 1, 0 and 31 ratio steps
+# mod the zz_opt splitting's block of 32
+@pytest.mark.parametrize("n", [*range(2, 15), 26, 32, 33, 46, 50, 64])
 def test_verify_chain_matches_binomial_definitions(n):
     cubes, low = n**3, 3 * n**2 - 3 * n + 1
     cpz = Fraction(math.comb(cubes + 6 * n**2 - 6 * n + 2, cubes - 1), cubes)
@@ -192,6 +198,26 @@ def test_verify_chain_matches_binomial_definitions(n):
         "lower_le_lzz": lower <= lzz,
         "zz_half_lt_loose": zz_half < loose,
     }
+
+
+def test_zz_opt_sum_refuses_a_remainder(monkeypatch):
+    merge = bounds._merge
+
+    def off_by_one(left, right):
+        p, q, t = merge(left, right)
+        return p, q, t + 1
+
+    monkeypatch.setattr(bounds, "_merge", off_by_one)
+    with pytest.raises(AssertionError, match="remainder at n = 10"):
+        _zz_opt_sum(10, math.comb(1000, 100))
+
+
+def test_verify_chain_reports_are_pinned():
+    # the JSON reports for n = 2..64, as written before the zz_opt leaves
+    # became blocks and format_int began to split its values
+    text = "\n".join(json.dumps(verify_chain(n).to_json(), sort_keys=True) for n in range(2, 65))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "aa4e3e216fb5ec83cad5aad150e6ff77fa80ce64f8c2b394d6524d95d3488562"
 
 
 def test_binomials_match_comb_up_to_300():

@@ -4,6 +4,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochpoly.numerics import (
     MAX_EXPONENT,
@@ -122,3 +124,46 @@ def test_format_int_beyond_str_digit_limit():
     assert format_int(-(10**5000)) == "-1" + "0" * 5000
     big = Fraction(10**5000 + 1, 3)
     assert parse_rational(format_rational(big)) == big
+
+
+def _format_int_reference(v):
+    """The one-step conversion ``format_int`` used before it split values."""
+    return str(Decimal(v))
+
+
+_EDGE_VALUES = {
+    "0": 0,
+    "1": 1,
+    "-1": -1,
+    **{f"10^{k}{d:+d}": 10**k + d for k in (999, 1000, 1001, 1999, 2000, 2001, 3999, 4000, 4001) for d in (-1, 0)},
+    "-10^4000": -(10**4000),
+    # the low half is a long run of zeros
+    "10^5000+7": 10**5000 + 7,
+    # a 3/10 digit estimate undercounts these by about 100 digits
+    "2^100000-1": 2**100_000 - 1,
+    "-2^100000+1": -(2**100_000 - 1),
+}
+
+
+@pytest.mark.parametrize("name", _EDGE_VALUES)
+def test_format_int_edge_values(name):
+    v = _EDGE_VALUES[name]
+    assert format_int(v) == _format_int_reference(v)
+
+
+@st.composite
+def _big_ints(draw):
+    digits = draw(st.integers(0, 30_000))
+    rng = draw(st.randoms(use_true_random=False))
+    value = rng.randrange(10**digits)
+    if draw(st.booleans()):
+        # long runs of zeros or nines inside the digits, where each low
+        # piece must keep its leading zeros
+        value = value // 10 ** (digits // 2) * 10 ** (digits // 2) + draw(st.integers(-(10**9), 10**9))
+    return value if draw(st.booleans()) else -value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_big_ints())
+def test_format_int_matches_the_one_step_conversion(v):
+    assert format_int(v) == _format_int_reference(v)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -75,6 +77,24 @@ def test_from_flat_round_trip(half_vertex, latin3_tensors):
     for values in ([0] * 26, [0] * 28, []):
         with pytest.raises(ValueError):
             Tensor3.from_flat(3, values)
+
+
+_ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", _ROUND_TRIPS)
+def test_tensor_and_latin_square_survive_pickle_and_copy(how, half_vertex):
+    square = LatinSquare([[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
+    for value, view in ((half_vertex, "entries"), (uniform_tensor(3), "entries"), (square, "cells")):
+        again = _ROUND_TRIPS[how](value)
+        assert type(again) is type(value)
+        assert again == value
+        assert hash(again) == hash(value)
+        assert getattr(again, view) == getattr(value, view)
 
 
 def test_getitem_reads_the_flat_tuple(half_vertex):
