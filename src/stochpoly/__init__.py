@@ -54,8 +54,9 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-#: name of the elimination kernel, the batched numpy one; benchmark runs
-#: record it so that only runs of the same kernel are compared
+#: the elimination kernel's lane: "pure" is ``_kernels`` as Python and numpy
+#: code, with no compiled extension; benchmark runs record it so that only
+#: runs of the same lane are compared
 kernel_backend = "pure"
 
 __all__ = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import format_rational, json_int, parse_rational
+from .numerics import common_scale, format_rational, json_int, parse_rational
 
 __all__ = [
     "DoublyStochasticMatrix",
@@ -36,18 +36,21 @@ class DoublyStochasticMatrix:
         n = len(rows)
         if n == 0:
             raise ValueError("empty matrix")
-        grid = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        grid = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
+        # each line is checked on its own integer scale; the sum in the
+        # message is formed only when the line fails
         for i, row in enumerate(grid):
             if len(row) != n:
                 raise ValueError("matrix is not square")
-            if any(v < 0 for v in row):
+            d, nums = common_scale(row)
+            if min(nums) < 0:
                 raise ValueError(f"negative entry in row {i + 1}")
-            if sum(row) != 1:
+            if sum(nums) != d:
                 raise ValueError(f"row {i + 1} sums to {sum(row)}, not 1")
-        for j in range(n):
-            total = sum(row[j] for row in grid)
-            if total != 1:
-                raise ValueError(f"column {j + 1} sums to {total}, not 1")
+        for j, column in enumerate(zip(*grid)):
+            d, nums = common_scale(column)
+            if sum(nums) != d:
+                raise ValueError(f"column {j + 1} sums to {sum(column)}, not 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", grid)
 

@@ -4,19 +4,21 @@ Decides whether {M x = rhs, x >= 0} has a solution, entirely in exact
 arithmetic: the simplex tableau is fraction-free on integers. Every answer
 ships with a machine-checkable certificate: a nonnegative witness that
 re-substitutes exactly when feasible, or a Farkas vector y with yT M >= 0
-componentwise and yT rhs < 0 when infeasible.
+componentwise and yT rhs < 0 when infeasible. The problem, the witness and
+the certificate are Fractions; the tableau and both re-checks work on their
+numerators over a common denominator (``numerics.common_scale``).
 Bland's least-index pivot rule makes the solver deterministic and immune to
 cycling on degenerate inputs.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from ._kernels import pivot
-from .numerics import format_rational
+from .numerics import common_scale, format_rational
 from .tensor import Tensor3, tensor_to_latin
 
 __all__ = [
@@ -39,8 +41,8 @@ class LPProblem:
 
     @staticmethod
     def build(matrix: Sequence[Sequence], rhs: Sequence) -> "LPProblem":
-        rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-        b = tuple(Fraction(v) for v in rhs)
+        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in matrix)
+        b = tuple(v if type(v) is Fraction else Fraction(v) for v in rhs)
         if len(rows) != len(b):
             raise ValueError("rhs length must match row count")
         width = {len(r) for r in rows}
@@ -89,14 +91,10 @@ def solve_feasibility(problem: LPProblem) -> FeasibilityResult:
     m, n = problem.num_rows, problem.num_cols
     if m == 0:
         return FeasibilityResult("feasible", witness=tuple())
-    # flip rows to make the right-hand side nonnegative, scale each column
-    # (the right-hand side last) to integers and put the artificials between
-    rows = [
-        [-v for v in (*row, b)] if b < 0 else [*row, b]
-        for row, b in zip(problem.matrix, problem.rhs)
-    ]
-    scale = [lcm(*(row[j].denominator for row in rows)) for j in range(n + 1)]
-    tab = [[v.numerator * (s // v.denominator) for v, s in zip(row, scale)] for row in rows]
+    # scale each column (the right-hand side last) to integers, flip rows
+    # to make the right-hand side nonnegative and put the artificials between
+    scale, columns = zip(*map(common_scale, [*zip(*problem.matrix), problem.rhs]))
+    tab = [[-v for v in row] if row[n] < 0 else list(row) for row in zip(*columns)]
     tab = [row[:n] + [int(j == i) for j in range(m)] + row[n:] for i, row in enumerate(tab)]
     # reduced costs: 0 for basic artificials, minus the column sum otherwise
     obj = [-sum(col) for col in zip(*tab)]
@@ -145,25 +143,35 @@ def solve_feasibility(problem: LPProblem) -> FeasibilityResult:
 
 
 def verify_witness(problem: LPProblem, witness: Sequence[Fraction]) -> bool:
-    """Exact re-substitution: M x = rhs and x >= 0."""
+    """Exact re-substitution: M x = rhs and x >= 0.
+
+    With x = xs / d and a row scaled by its own lcm, (row, b) = (cs, c) / e,
+    the row holds exactly when sum(cs * xs) == c * d.
+    """
     if len(witness) != problem.num_cols:
         return False
-    if any(v < 0 for v in witness):
+    d, xs = common_scale(witness)
+    if any(v < 0 for v in xs):
         return False
     for row, b in zip(problem.matrix, problem.rhs):
-        if sum(c * x for c, x in zip(row, witness)) != b:
+        _, (*cs, c) = common_scale((*row, b))
+        if sum(map(operator.mul, cs, xs)) != c * d:
             return False
     return True
 
 
 def verify_farkas(problem: LPProblem, y: Sequence[Fraction]) -> bool:
-    """Farkas conditions: yT M >= 0 componentwise and yT rhs < 0."""
+    """Farkas conditions: yT M >= 0 componentwise and yT rhs < 0.
+
+    y and each column of M (the right-hand side last) are scaled by their
+    own positive lcms, which change no sign.
+    """
     if len(y) != problem.num_rows:
         return False
-    for j in range(problem.num_cols):
-        if sum(y[i] * problem.matrix[i][j] for i in range(problem.num_rows)) < 0:
-            return False
-    return sum(y[i] * problem.rhs[i] for i in range(problem.num_rows)) < 0
+    _, ys = common_scale(y)
+    if any(sum(map(operator.mul, ys, common_scale(col)[1])) < 0 for col in zip(*problem.matrix)):
+        return False
+    return sum(map(operator.mul, ys, common_scale(problem.rhs)[1])) < 0
 
 
 def membership_problem(t: Tensor3, generators: Sequence[Tensor3]) -> LPProblem:

@@ -3,6 +3,8 @@
 All quantities in this package are Python ints (arbitrary precision) or
 ``fractions.Fraction`` values (always stored in lowest terms with a positive
 denominator), so every comparison and every bound evaluation is exact.
+Checks that add or compare many rationals first put them on one integer
+scale with ``common_scale`` and then work on Python ints alone.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from typing import Sequence
 
 Rational = Fraction
 
@@ -29,6 +32,7 @@ __all__ = [
     "binomial",
     "factorial",
     "rational_pow",
+    "common_scale",
     "parse_rational",
     "MAX_EXPONENT",
     "json_int",
@@ -62,6 +66,14 @@ def rational_pow(base: Fraction | int, e: int) -> Fraction:
     if e < 0 and base == 0:
         raise ZeroDivisionError("zero base with negative exponent")
     return base**e
+
+
+def common_scale(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """``(d, nums)``: d > 0 is the lcm of the values' denominators and each
+    value equals ``num / d``, so sums and comparisons of the values become
+    sums and comparisons of the integers ``nums`` against multiples of d."""
+    d = math.lcm(*[v.denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -140,6 +152,7 @@ def format_int(value: int) -> str:
 
 def format_rational(value: Fraction | int) -> str:
     """Canonical wire form: lowest terms, 'p/q', or just 'p' when q = 1."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     num = format_int(value.numerator)
     return num if value.denominator == 1 else f"{num}/{format_int(value.denominator)}"

@@ -115,7 +115,7 @@ def is_vertex(t: Tensor3) -> VertexCertificate:
     vertices exactly when their support columns have full rank.
     """
     hp = build_lp_polytope(t.n)
-    supp = [c for c, v in enumerate(t.flatten()) if v != 0]
+    supp = [c for c, v in enumerate(t.flatten()) if v.numerator]
     check = check_line_stochastic(t)
     if not check.ok:
         return VertexCertificate(

@@ -7,14 +7,20 @@ when every entry is nonnegative and every line sums to exactly 1.
 
 Indices are 0-based everywhere in process; the JSON layer and the Line
 descriptors report 1-based indices.
+
+Entries are ``Fraction`` values at every public boundary. The line check and
+``convex_combine`` put the values they add on one integer scale
+(``numerics.common_scale``), sum Python ints, and build at most one
+``Fraction`` per output entry.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .numerics import format_rational, json_int, parse_rational
+from .numerics import common_scale, format_rational, json_int, parse_rational
 
 __all__ = [
     "flatten_index",
@@ -82,14 +88,14 @@ class Tensor3:
             for row in layer:
                 if len(row) != n:
                     raise ValueError(f"tensor is not cubical: expected {n} columns")
-                flat.extend(Fraction(v) for v in row)
+                flat.extend(v if type(v) is Fraction else Fraction(v) for v in row)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_flat", tuple(flat))
 
     @classmethod
     def from_flat(cls, n: int, values: Iterable[Fraction | int | str]) -> "Tensor3":
         """The tensor of order n whose row-major flattening is ``values``."""
-        flat = tuple(Fraction(v) for v in values)
+        flat = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if n < 1 or len(flat) != n**3:
             raise ValueError(f"a tensor of order {n} needs n^3 entries, got {len(flat)}")
         t = object.__new__(cls)
@@ -197,11 +203,16 @@ def lines(n: int) -> Iterator[tuple[Line, range]]:
 
 
 def check_line_stochastic(t: Tensor3) -> LineCheck:
-    """Verdict plus the first violating line (negative entry or sum != 1)."""
+    """Verdict plus the first violating line (negative entry or sum != 1).
+
+    Each line is scaled by the lcm d of its own n denominators, so d stays
+    bounded by n denominators however many distinct ones the tensor holds;
+    the line sums to 1 exactly when its integer numerators sum to d.
+    """
     flat = t.flatten()
     for line, cells in lines(t.n):
-        values = [flat[c] for c in cells]
-        if min(values) < 0 or sum(values) != 1:
+        d, nums = common_scale([flat[c] for c in cells])
+        if min(nums) < 0 or sum(nums) != d:
             return LineCheck(False, line)
     return LineCheck(True, None)
 
@@ -212,10 +223,11 @@ def is_line_stochastic(t: Tensor3) -> bool:
 
 def latin_to_tensor(s: LatinSquare) -> Tensor3:
     """The (0,1) tensor with a 1 at (i, j, k) exactly when cell (i, j) of the
-    square holds symbol k."""
+    square holds symbol k. Its entries are two shared Fractions."""
     n = s.n
+    zero, one = Fraction(0), Fraction(1)
     return Tensor3.from_flat(
-        n, [int(symbol == k + 1) for row in s.cells for symbol in row for k in range(n)]
+        n, [one if symbol == k + 1 else zero for row in s.cells for symbol in row for k in range(n)]
     )
 
 
@@ -251,24 +263,27 @@ def support(t: Tensor3) -> frozenset[tuple[int, int, int]]:
 def convex_combine(
     weights: Sequence[Fraction | int], tensors: Sequence[Tensor3]
 ) -> Tensor3:
-    """Entrywise weighted sum; weights must be nonnegative and sum to 1."""
+    """Entrywise weighted sum; weights must be nonnegative and sum to 1.
+
+    With the weights on one scale, w_g = a_g / d, and the values of entry p
+    on theirs, v_gp = b_gp / e_p, entry p is sum(a_g * b_gp) / (d * e_p): an
+    integer sum and one Fraction per entry.
+    """
     if len(weights) != len(tensors) or not tensors:
         raise ValueError("need one weight per tensor, at least one of each")
-    ws = [Fraction(w) for w in weights]
-    if any(w < 0 for w in ws):
+    d, ws = common_scale([w if type(w) is Fraction else Fraction(w) for w in weights])
+    if min(ws) < 0:
         raise ValueError("weights must be nonnegative")
-    if sum(ws) != 1:
+    if sum(ws) != d:
         raise ValueError("weights must sum to 1")
     n = tensors[0].n
     if any(t.n != n for t in tensors):
         raise ValueError("dimension mismatch among tensors")
-    return Tensor3.from_flat(
-        n,
-        [
-            sum((w * v for w, v in zip(ws, values)), Fraction(0))
-            for values in zip(*(t.flatten() for t in tensors))
-        ],
-    )
+    flat = []
+    for values in zip(*(t.flatten() for t in tensors)):
+        e, nums = common_scale(values)
+        flat.append(Fraction(sum(map(operator.mul, ws, nums)), d * e))
+    return Tensor3.from_flat(n, flat)
 
 
 def uniform_tensor(n: int) -> Tensor3:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -74,3 +75,28 @@ def asset_dir(tmp_path, half_vertex):
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
     return tmp_path
+
+
+@pytest.fixture()
+def fractions_built():
+    """``fractions_built(fn, *args)`` returns ``(fn(*args), k)``, where k is
+    the number of ``Fraction`` objects built during the call, arithmetic
+    results included (every one of them goes through ``Fraction.__new__``)."""
+    original = Fraction.__dict__["__new__"]
+
+    def run(fn, *args):
+        built = 0
+
+        def counting(cls, *a, **kw):
+            nonlocal built
+            built += 1
+            return original.__func__(cls, *a, **kw)
+
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            result = fn(*args)
+        finally:
+            Fraction.__new__ = original
+        return result, built
+
+    return run

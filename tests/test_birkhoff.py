@@ -46,6 +46,32 @@ def test_validation():
         DoublyStochasticMatrix([[1, 0]])  # not square
 
 
+P = 2**61 - 1  # a prime
+H, E = Fraction(1, 2), Fraction(1, P)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[H, H + E], [H, H]], f"row 1 sums to {P + 1}/{P}, not 1"),
+        ([[H, H], [H, H - E]], f"row 2 sums to {P - 1}/{P}, not 1"),
+        ([[H + E, H - E], [H, H]], f"column 1 sums to {P + 1}/{P}, not 1"),
+        ([[H - E, H + E], [H, H]], f"column 1 sums to {P - 1}/{P}, not 1"),
+        ([[H, H], [-E, 1 + E]], "negative entry in row 2"),
+        ([[1, 0], [1, 0]], "column 1 sums to 2, not 1"),
+        ([[0, 1], [0, 1]], "column 1 sums to 0, not 1"),
+    ],
+)
+def test_validation_messages(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DoublyStochasticMatrix(rows)
+
+
+def test_validation_builds_no_fraction(fractions_built):
+    rows = random_doubly_stochastic(random.Random(3), 6).rows
+    assert fractions_built(DoublyStochasticMatrix, rows)[1] == 0
+
+
 def test_identity_decomposes_to_single_term():
     result = decompose(identity(4))
     assert result.terms == ((Fraction(1), (0, 1, 2, 3)),)

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochpoly
 from stochpoly import lp
@@ -337,3 +339,75 @@ def test_witness_check_survives_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# --- the Fraction definitions of the two re-checks ------------------------
+
+
+def reference_witness(problem, witness):
+    if len(witness) != problem.num_cols:
+        return False
+    if any(v < 0 for v in witness):
+        return False
+    for row, b in zip(problem.matrix, problem.rhs):
+        if sum(c * x for c, x in zip(row, witness)) != b:
+            return False
+    return True
+
+
+def reference_farkas(problem, y):
+    if len(y) != problem.num_rows:
+        return False
+    for j in range(problem.num_cols):
+        if sum(y[i] * problem.matrix[i][j] for i in range(problem.num_rows)) < 0:
+            return False
+    return sum(y[i] * problem.rhs[i] for i in range(problem.num_rows)) < 0
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 6) + PRIMES))
+
+
+@st.composite
+def systems_and_vectors(draw):
+    """A system, feasible by construction half of the time, and vectors to
+    check against it: the solver's witness or certificate, the point the
+    system was built from, tampered copies of both and random vectors."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    matrix = [draw(st.lists(rationals, min_size=k, max_size=k)) for _ in range(m)]
+    point = draw(st.lists(rationals.map(abs), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        rhs = [sum((c * x for c, x in zip(row, point)), Fraction(0)) for row in matrix]
+    else:
+        rhs = draw(st.lists(rationals, min_size=m, max_size=m))
+    problem = LPProblem.build(matrix, rhs)
+    result = solve_feasibility(problem)
+    vectors = [point, result.witness if result.feasible else result.certificate]
+    for v in list(vectors):
+        if v:
+            tampered = list(v)
+            tampered[draw(st.integers(0, len(v) - 1))] += draw(rationals)
+            vectors += [tampered, [-x for x in v], list(v)[1:]]
+    for size in (k, m):
+        vectors.append(draw(st.lists(rationals, min_size=size, max_size=size)))
+    return problem, vectors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(systems_and_vectors())
+def test_lp_checks_match_the_fraction_definitions(case):
+    problem, vectors = case
+    for v in vectors:
+        assert verify_witness(problem, v) == reference_witness(problem, v)
+        assert verify_farkas(problem, v) == reference_farkas(problem, v)
+
+
+def test_lp_checks_build_no_fraction(fractions_built, half_vertex, latin3_tensors):
+    for target in (half_vertex, uniform_tensor(3)):
+        problem = lp.membership_problem(target, latin3_tensors)
+        assert fractions_built(LPProblem.build, problem.matrix, problem.rhs)[1] == 0
+        res = solve_feasibility(problem)
+        if res.feasible:
+            assert fractions_built(verify_witness, problem, res.witness) == (True, 0)
+        else:
+            assert fractions_built(verify_farkas, problem, res.certificate) == (True, 0)

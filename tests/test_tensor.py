@@ -3,13 +3,19 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochpoly.enumeration import enumerate_latin_squares
+from stochpoly.polytope import VertexCertificate, build_lp_polytope, is_vertex, rank_exact
 from stochpoly.tensor import (
     LatinSquare,
     Line,
+    LineCheck,
     Tensor3,
     check_line_stochastic,
     convex_combine,
@@ -237,12 +243,16 @@ def test_convex_combine_preserves_line_stochasticity():
 
 
 def test_convex_combine_validation(half_vertex):
-    with pytest.raises(ValueError):
-        convex_combine([Fraction(1, 2)], [half_vertex])
-    with pytest.raises(ValueError):
-        convex_combine([Fraction(1, 2), Fraction(1, 2)], [half_vertex, uniform_tensor(2)])
-    with pytest.raises(ValueError):
-        convex_combine([Fraction(3, 2), Fraction(-1, 2)], [half_vertex, half_vertex])
+    cases = [
+        ([], []),
+        ([1, 0], [half_vertex]),
+        ([Fraction(1, 2)], [half_vertex]),
+        ([Fraction(1, 2), Fraction(1, 2)], [half_vertex, uniform_tensor(2)]),
+        ([Fraction(3, 2), Fraction(-1, 2)], [half_vertex, half_vertex]),
+        (["1/3", 2 * Fraction(1, 3)], [half_vertex, uniform_tensor(3)]),
+    ]
+    for weights, tensors in cases:
+        assert combine_or_message(weights, tensors) == reference_combine(weights, tensors)
 
 
 def test_tensor_json_round_trip(half_vertex):
@@ -274,3 +284,192 @@ def test_latin_json_round_trip():
     obj = latin_to_json(s)
     assert obj == {"n": 2, "cells": [[1, 2], [2, 1]]}
     assert latin_from_json(obj) == s
+
+
+# --- the Fraction definitions the integer-scale code must agree with --------
+
+
+def reference_line_check(t):
+    """Line-stochasticity by Fraction arithmetic: the first line with a
+    negative entry or a sum other than 1."""
+    flat = t.flatten()
+    for line, cells in lines(t.n):
+        values = [flat[c] for c in cells]
+        if min(values) < 0 or sum(values) != 1:
+            return LineCheck(False, line)
+    return LineCheck(True, None)
+
+
+def reference_combine(weights, tensors):
+    """convex_combine by Fraction arithmetic: the flat tuple, or the
+    ValueError's message."""
+    if len(weights) != len(tensors) or not tensors:
+        return "need one weight per tensor, at least one of each"
+    ws = [Fraction(w) for w in weights]
+    if any(w < 0 for w in ws):
+        return "weights must be nonnegative"
+    if sum(ws) != 1:
+        return "weights must sum to 1"
+    if any(t.n != tensors[0].n for t in tensors):
+        return "dimension mismatch among tensors"
+    return tuple(
+        sum((w * v for w, v in zip(ws, values)), Fraction(0))
+        for values in zip(*(t.flatten() for t in tensors))
+    )
+
+
+def reference_is_vertex(t):
+    supp = [c for c, v in enumerate(t.flatten()) if v != 0]
+    check = reference_line_check(t)
+    rank = rank_exact(build_lp_polytope(t.n), supp)
+    verdict = "infeasible" if not check.ok else "vertex" if rank == len(supp) else "not_vertex"
+    return VertexCertificate(t, len(supp), rank, verdict, check.violation)
+
+
+def combine_or_message(weights, tensors):
+    try:
+        return convex_combine(weights, tensors).flatten()
+    except ValueError as exc:
+        return str(exc)
+
+
+@cache
+def latin_tensors(n):
+    return [latin_to_tensor(s) for s in enumerate_latin_squares(n)]
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: signed rationals over coprime denominators, zero included
+rationals = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 6, 10) + PRIMES))
+properties = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def random_tensors(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    return Tensor3.from_flat(n, draw(st.lists(rationals, min_size=n**3, max_size=n**3)))
+
+
+@st.composite
+def near_stochastic_tensors(draw):
+    """A convex combination of Latin tensors, then up to three edits: a
+    2x2x2 move of alternating sign (every line sum kept, entries may turn
+    negative), an entry set to any rational, or a line set to zero."""
+    n = draw(st.integers(1, 4))
+    gens = latin_tensors(n)
+    picks = draw(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=3))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(picks), max_size=len(picks)))
+    flat = list(convex_combine([Fraction(r, sum(raw)) for r in raw], [gens[p] for p in picks]).flatten())
+    all_lines = list(lines(n))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("move", "entry", "zero line")))
+        if edit == "move" and n >= 2:
+            pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            i, j, k = draw(pair), draw(pair), draw(pair)
+            delta = draw(rationals)
+            for a, b, c in product((0, 1), repeat=3):
+                flat[flatten_index(n, i[a], j[b], k[c])] += delta if (a + b + c) % 2 == 0 else -delta
+        elif edit == "entry":
+            flat[draw(st.integers(0, n**3 - 1))] = draw(rationals)
+        else:
+            for c in draw(st.sampled_from(all_lines))[1]:
+                flat[c] = Fraction(0)
+    return Tensor3.from_flat(n, flat)
+
+
+@properties
+@given(near_stochastic_tensors())
+def test_line_check_and_vertex_certificate_match_the_fraction_definition(t):
+    assert check_line_stochastic(t) == reference_line_check(t)
+    assert is_vertex(t) == reference_is_vertex(t)
+
+
+@st.composite
+def combinations(draw):
+    """Tensors of one order with weights that are a convex weight vector,
+    or, one time in four, arbitrary rationals."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entries = st.lists(rationals, min_size=n**3, max_size=n**3)
+    tensors = [Tensor3.from_flat(n, draw(entries)) for _ in range(k)]
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(rationals, min_size=k, max_size=k)), tensors
+    raw = draw(st.lists(rationals.map(abs), min_size=k, max_size=k))
+    if not any(raw):
+        raw[0] = Fraction(1)
+    return [r / sum(raw) for r in raw], tensors
+
+
+@properties
+@given(combinations())
+def test_convex_combine_matches_the_fraction_definition(case):
+    weights, tensors = case
+    assert combine_or_message(weights, tensors) == reference_combine(weights, tensors)
+
+
+@properties
+@given(random_tensors(max_n=4), st.integers(0, 10**40))
+def test_tensor_json_round_trip_property(t, scale):
+    big = Tensor3.from_flat(t.n, [v * scale for v in t.flatten()])
+    for u in (t, big):
+        assert tensor_from_json(tensor_to_json(u)) == u
+
+
+def test_certify_paths_build_no_intermediate_fractions(fractions_built, half_vertex, latin3_tensors):
+    """The line check and is_vertex build no Fraction; convex_combine builds
+    at most one per entry and one per weight; no Fraction is re-wrapped,
+    and a Latin tensor shares one 0 and one 1."""
+    perturbed = list(half_vertex.flatten())
+    perturbed[5] += Fraction(1, 7)
+    points = [half_vertex, uniform_tensor(3), uniform_tensor(5), Tensor3.from_flat(3, perturbed)]
+    for t in points:
+        assert fractions_built(check_line_stochastic, t) == (reference_line_check(t), 0)
+        assert fractions_built(is_vertex, t) == (reference_is_vertex(t), 0)
+        assert fractions_built(Tensor3.from_flat, t.n, t.flatten())[1] == 0
+        assert fractions_built(Tensor3, t.entries)[1] == 0
+        assert fractions_built(tensor_to_json, t)[1] == 0
+    weights = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
+    sources = [half_vertex, *latin3_tensors[:2]]
+    combined, built = fractions_built(convex_combine, weights, sources)
+    assert combined.flatten() == reference_combine(weights, sources)
+    assert built <= 27
+    combined, built = fractions_built(convex_combine, [1, 0, "0"], sources)
+    assert combined == half_vertex
+    assert built <= 27 + 3
+    square = LatinSquare([[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
+    assert fractions_built(latin_to_tensor, square)[1] == 2
+
+
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found if p * p <= candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def test_distinct_prime_denominators_keep_each_line_on_a_small_scale():
+    """Order 6: one tensor whose 216 entries have distinct prime
+    denominators (a whole-tensor lcm of about 2000 bits), and a
+    line-stochastic one, the uniform tensor moved by 125 2x2x2 steps of
+    1/(1000 p) for distinct primes p. The checks agree with the Fraction
+    definitions on both and on their convex combination."""
+    n, primes = 6, _primes(216 + 125)
+    near = Tensor3.from_flat(n, [Fraction(p // 6, p) for p in primes[13:229]])
+    assert len({v.denominator for v in near.flatten()}) == 216
+    flat = [Fraction(1, 6)] * n**3
+    for p, (i, j, k) in zip(primes[216:], product(range(n - 1), repeat=3)):
+        for a, b, c in product((0, 1), repeat=3):
+            sign = 1 if (a + b + c) % 2 == 0 else -1
+            flat[flatten_index(n, i + a, j + b, k + c)] += Fraction(sign, 1000 * p)
+    moved = Tensor3.from_flat(n, flat)
+    assert check_line_stochastic(moved).ok
+    weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    combined = convex_combine(weights, [near, moved, uniform_tensor(n)])
+    assert combined.flatten() == reference_combine(weights, [near, moved, uniform_tensor(n)])
+    for t in (near, moved, combined):
+        assert check_line_stochastic(t) == reference_line_check(t)
+        assert is_vertex(t) == reference_is_vertex(t)
+    assert is_vertex(moved).verdict == "not_vertex"
+    assert is_vertex(near).violated == Line(3, (1, 1))
