@@ -19,13 +19,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, gcd
 from typing import Optional, Sequence
 
 from . import _kernels
 from .polytope import build_lp_polytope
-from .tensor import LatinSquare, Tensor3, flatten_index, lines, tensor_to_json
+from .tensor import LatinSquare, Tensor3, lines, tensor_to_json
 
 __all__ = [
     "ResourceCapExceeded",
@@ -223,28 +222,18 @@ def enumerate_vertices_bruteforce(n: int) -> VertexSet:
 # Double description
 
 
-def _null_basis(n: int) -> list[list[int]]:
-    """Integer basis of the equality system's null space: one corner-cube
-    tensor with alternating +/-1 entries per (i, j, k) in [0, n-1)^3. Every
-    line of such a tensor contains either none or both of a +1/-1 pair, so
-    all line sums vanish; leading-corner positions make the family
-    independent, and there are (n-1)^3 = n^3 - rank(A) of them."""
-    basis = []
-    for i, j, k in product(range(n - 1), repeat=3):
-        vec = [0] * n**3
-        for a, b, c in product((0, 1), repeat=3):
-            vec[flatten_index(n, i + a, j + b, k + c)] = (-1) ** (a + b + c)
-        basis.append(vec)
-    return basis
-
-
 def _homogeneous_rows(n: int) -> list[tuple[int, ...]]:
     """One halfspace row per tensor coordinate, over y = (s, t): the
-    coordinate value is (s + n * (N t)_v) / (n s), so nonnegativity is the
-    integer row (1, n*N_v) applied to y."""
-    null = _null_basis(n)
-    d = len(null)
-    return [tuple([1] + [n * null[q][v] for q in range(d)]) for v in range(n**3)]
+    coordinate value is (s + n * (N t)_v) / (n s), with N the far-corner
+    null basis that ``build_lp_polytope`` proves (one column per leading
+    cell, in flat order), so nonnegativity is the integer row (1, n*N_v)
+    applied to y."""
+    null = [vec for vec in build_lp_polytope(n).null_basis if vec]
+    rows = [[1] + [0] * len(null) for _ in range(n**3)]
+    for q, vec in enumerate(null, 1):
+        for v, s in vec:
+            rows[v][q] = n * s
+    return [tuple(row) for row in rows]
 
 
 def _ray(slack: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -259,7 +248,8 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
     """Vertex set via the double description method.
 
     The equality system is eliminated first: solutions are parameterized as
-    the barycenter plus the null-space basis, and the method runs on the
+    the barycenter plus the far-corner null basis that ``polytope`` proves
+    and stores (``HPolytope.null_basis``), and the method runs on the
     homogenization cone in dimension (n-1)^3 + 1 with the n^3 nonnegativity
     halfspaces. Each ray is stored once, as its primitive integer slack
     vector over those halfspaces, with its zero set; a vertex is a ray's

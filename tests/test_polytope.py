@@ -1,10 +1,21 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stochpoly
+from stochpoly import _kernels
 from stochpoly.enumeration import enumerate_latin_squares
 from stochpoly.polytope import (
+    _boundary_basis,
     build_lp_polytope,
     is_vertex,
     polytope_dimension,
@@ -107,3 +118,178 @@ def test_infeasible_point_reports_line():
 def test_build_rejects_nonpositive():
     with pytest.raises(ValueError):
         build_lp_polytope(0)
+
+
+# --- the rank in the boundary basis against the dense reference -----------
+
+
+def dense_rank(hp, columns):
+    """Reference: Bareiss on the selected columns of all 3n^2 rows."""
+    return _kernels.rank_int([[row[c] for c in columns] for row in hp.rows])
+
+
+def cells(n, leading):
+    """The leading cells (every index below n - 1) or the boundary cells."""
+    return [
+        flatten_index(n, *ijk)
+        for ijk in product(range(n), repeat=3)
+        if (n - 1 not in ijk) == leading
+    ]
+
+
+@st.composite
+def supports(draw, n):
+    size = draw(st.integers(0, n**3))
+    return draw(st.permutations(range(n**3)))[:size]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rank_exact_matches_the_dense_rank(n):
+    hp = build_lp_polytope(n)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(supports(n))
+    def check(columns):
+        assert rank_exact(hp, columns) == dense_rank(hp, columns)
+
+    check()
+
+
+def latin_supports(n):
+    return [
+        [c for c, v in enumerate(latin_to_tensor(s).flatten()) if v]
+        for s in enumerate_latin_squares(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rank_exact_edge_supports(n, half_vertex):
+    hp = build_lp_polytope(n)
+    boundary, leading = cells(n, False), cells(n, True)
+    cases = {
+        "empty": ([], 0),
+        "full": (range(n**3), hp.rank),
+        "boundary": (boundary, hp.rank),
+        "leading": (leading, None),
+        "one leading": (leading[-1:], len(leading[-1:])),
+    }
+    if n in (3, 4):
+        cases.update((f"latin {k}", (s, n * n)) for k, s in enumerate(latin_supports(n)))
+    if n == 3:
+        half = sorted(flatten_index(3, *ijk) for ijk in support(half_vertex))
+        cases["half vertex"] = (half, 17)
+    for name, (columns, expected) in cases.items():
+        got = rank_exact(hp, columns)
+        assert got == dense_rank(hp, list(columns)), name
+        if expected is not None:
+            assert got == expected, name
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_uniform_tensor_rank_at_larger_n(n):
+    cert = is_vertex(uniform_tensor(n))
+    assert (cert.verdict, cert.support_size, cert.rank) == ("not_vertex", n**3, 3 * n * n - 3 * n + 1)
+
+
+def test_build_runs_no_elimination_and_rank_exact_only_leading_columns(monkeypatch):
+    rank_int = _kernels.rank_int
+
+    def refuse(*args):
+        raise AssertionError("elimination called")
+
+    monkeypatch.setattr(_kernels, "rank_int", refuse)
+    monkeypatch.setattr(_kernels, "reduce", refuse)
+    for n in range(1, 7):
+        hp = build_lp_polytope.__wrapped__(n)
+        assert hp.rank == 3 * n * n - 3 * n + 1
+        assert sum(1 for vec in hp.null_basis if vec) == (n - 1) ** 3
+    monkeypatch.undo()
+
+    widths = []
+
+    def recording(rows):
+        widths.append(len(rows[0]) if rows else 0)
+        return rank_int(rows)
+
+    monkeypatch.setattr(_kernels, "rank_int", recording)
+    hp = build_lp_polytope(3)
+    leading = set(cells(3, True))
+    for columns in [[], list(range(27)), sorted(leading)] + latin_supports(3):
+        widths.clear()
+        rank_exact(hp, columns)
+        assert sum(widths) <= len(leading.intersection(columns))
+
+
+# --- the build proof fails loudly -----------------------------------------
+
+
+def line_rows(n):
+    return [list(row) for row in build_lp_polytope(n).rows]
+
+
+def move_one(n):
+    """Row 0 (cells 0..n-1) has its 1 at cell 0 moved to cell n*n, off the line."""
+    rows = line_rows(n)
+    rows[0][0], rows[0][n * n] = 0, 1
+    return rows
+
+
+def swap(rows, moves):
+    """Each (r1, r2, c0, c1) moves row r1's 1 from c0 to c1 and row r2's
+    from c1 to c0, so every row and column keeps its number of ones."""
+    for r1, r2, c0, c1 in moves:
+        rows[r1][c0], rows[r1][c1], rows[r2][c1], rows[r2][c0] = 0, 1, 0, 1
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_boundary_basis_proof_holds_on_the_line_system(n):
+    rows = build_lp_polytope(n).rows
+    rank, basis = _boundary_basis(n, rows)
+    assert rank == 3 * n * n - 3 * n + 1
+    assert [v for v, vec in enumerate(basis) if vec] == cells(n, True)
+    for vec in basis:
+        dense = [0] * n**3
+        for u, s in vec:
+            dense[u] = s
+        assert all(sum(a * x for a, x in zip(row, dense)) == 0 for row in rows)
+
+
+def test_boundary_basis_proof_rejects_tampered_systems():
+    with pytest.raises(AssertionError, match="exactly 3 lines"):
+        _boundary_basis(3, move_one(3))
+    # lines (i=1, k=1) and (i=1, k=2) trade cells (1,1,1) and (1,1,2): the
+    # far-corner vector of (1,1,1) leaves the null space
+    with pytest.raises(AssertionError, match="null space"):
+        _boundary_basis(3, swap(line_rows(3), [(9, 10, 0, 1)]))
+    # every far-corner vector stays in the null space, but the rank drops
+    # to 6: only the peeling sees it
+    rows = swap(line_rows(2), [(2, 11, 4, 7), (8, 3, 0, 6), (4, 5, 2, 1), (2, 9, 7, 1)])
+    assert _kernels.rank_int(rows) == 6
+    with pytest.raises(AssertionError, match="peel"):
+        _boundary_basis(2, rows)
+
+
+def test_boundary_basis_proof_survives_optimize_flag():
+    # `python -O` strips assert statements; the build proof must still run
+    script = textwrap.dedent(
+        """
+        import sys
+        from stochpoly.polytope import _boundary_basis, build_lp_polytope
+        if __debug__:
+            sys.exit("not running under -O")
+        rows = [list(row) for row in build_lp_polytope(3).rows]
+        rows[0][0], rows[0][9] = 0, 1
+        try:
+            _boundary_basis(3, rows)
+        except AssertionError:
+            sys.exit(0)
+        sys.exit("a tampered system passed the proof")
+        """
+    )
+    src = str(Path(stochpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochpoly import _kernels
 from stochpoly.enumeration import enumerate_latin_squares
-from stochpoly.polytope import VertexCertificate, build_lp_polytope, is_vertex, rank_exact
+from stochpoly.polytope import VertexCertificate, build_lp_polytope, is_vertex
 from stochpoly.tensor import (
     LatinSquare,
     Line,
@@ -321,7 +322,7 @@ def reference_combine(weights, tensors):
 def reference_is_vertex(t):
     supp = [c for c, v in enumerate(t.flatten()) if v != 0]
     check = reference_line_check(t)
-    rank = rank_exact(build_lp_polytope(t.n), supp)
+    rank = _kernels.rank_int([[row[c] for c in supp] for row in build_lp_polytope(t.n).rows])
     verdict = "infeasible" if not check.ok else "vertex" if rank == len(supp) else "not_vertex"
     return VertexCertificate(t, len(supp), rank, verdict, check.violation)
 
