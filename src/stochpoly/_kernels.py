@@ -35,7 +35,11 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix over the rationals.
 
     Fraction-free (Bareiss) forward elimination on Python integers: pivots
-    divide exactly, nothing overflows, no epsilons anywhere.
+    divide exactly, nothing overflows, no epsilons anywhere. A row with a 0
+    in the pivot column is left as it is when the pivot is +-prev, where
+    the update would at most flip its sign: every row then stays +- its
+    Bareiss row, so later divisions stay exact and the zero pattern, hence
+    the rank, is unchanged.
     """
     m = [list(map(int, row)) for row in rows]
     nrows = len(m)
@@ -54,10 +58,11 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pk = m[rank][col]
+        unit = pk == prev or pk == -prev
         for r in range(rank + 1, nrows):
             mr = m[r]
             f = mr[col]
-            if f == 0 and pk == prev:
+            if f == 0 and unit:
                 continue
             top = m[rank]
             for c in range(col + 1, ncols):

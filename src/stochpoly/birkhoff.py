@@ -85,7 +85,7 @@ class Decomposition:
         ]
 
 
-def find_positive_matching(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
+def find_positive_matching(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, ...]:
     """A permutation hitting only positive entries, by augmenting paths.
 
     Rows are processed in order and columns tried ascending, so the result
@@ -124,17 +124,22 @@ def decompose(m: DoublyStochasticMatrix) -> Decomposition:
     time, weighted by its smallest matched entry, until nothing remains.
     Each step zeroes at least one entry, and the remainder stays a scaled
     doubly stochastic matrix, so the loop terminates with weights summing
-    to 1 in at most n^2 - 2n + 2 terms."""
+    to 1 in at most n^2 - 2n + 2 terms.
+
+    The loop runs on one integer scale, d the lcm of the entries'
+    denominators: the matching tests the sign of an int, and each weight
+    becomes one Fraction over d."""
     n = m.n
-    work = [list(row) for row in m.rows]
+    d, nums = common_scale([v for row in m.rows for v in row])
+    work = [nums[i * n : (i + 1) * n] for i in range(n)]
     terms = []
-    remaining = Fraction(1)  # current common row/column sum of work
+    remaining = d  # current common row/column sum of work
     while remaining > 0:
         perm = find_positive_matching(work)
         weight = min(work[i][perm[i]] for i in range(n))
         for i in range(n):
             work[i][perm[i]] -= weight
-        terms.append((weight, perm))
+        terms.append((Fraction(weight, d), perm))
         remaining -= weight
     if any(v != 0 for row in work for v in row):
         raise AssertionError("decomposition left a nonzero remainder")

@@ -5,6 +5,11 @@ All quantities in this package are Python ints (arbitrary precision) or
 denominator), so every comparison and every bound evaluation is exact.
 Checks that add or compare many rationals first put them on one integer
 scale with ``common_scale`` and then work on Python ints alone.
+
+The wire forms are read and written with ``int()`` and ``str()`` when every
+digit string involved is at most ``_STR_DIGITS`` long, which no setting of
+Python's int/str digit limit refuses; longer numbers, decimals and
+exponents go through ``Decimal``, which has no such limit.
 """
 from __future__ import annotations
 
@@ -26,6 +31,9 @@ _RATIONAL = re.compile(
 MAX_EXPONENT = 10_000
 #: most digits ``format_int`` converts in one quadratic step
 _FORMAT_LEAF = 1000
+#: the lowest int/str digit limit ``sys.set_int_max_str_digits`` accepts, so
+#: ``int()`` and ``str()`` convert this many digits under any setting
+_STR_DIGITS = 640
 
 __all__ = [
     "Rational",
@@ -79,21 +87,39 @@ def common_scale(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical wire form 'p/q' or 'p' (optional leading '-').
 
-    A lone 'p' may also be a decimal such as '0.5', read exactly. Digits are
-    read through Decimal, the way ``format_int`` writes them, so there is no
-    int/str digit limit on either part. A decimal exponent above
-    ``MAX_EXPONENT`` in absolute value is refused before it is expanded.
+    A lone 'p' may also be a decimal such as '0.5', read exactly. The
+    canonical forms with parts of at most ``_STR_DIGITS`` digits are read
+    with ``int()``; every other form goes through Decimal, the way
+    ``format_int`` writes long numbers, so there is no int/str digit limit
+    on either part. Both paths accept the same texts with the same values
+    and messages. A decimal exponent above ``MAX_EXPONENT`` in absolute
+    value is refused before it is expanded.
     """
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r}")
     stripped = text.strip()
+    num, slash, den = stripped.partition("/")
+    # int() would also take inner whitespace and underscores, so the fast
+    # path is held to signed runs of decimal digits, which the pattern
+    # below accepts with the same value
+    digits = num[1:] if num[:1] in ("-", "+") else num
+    if (
+        digits.isdecimal()
+        and len(digits) <= _STR_DIGITS
+        and (not slash or den.isdecimal() and len(den) <= _STR_DIGITS)
+    ):
+        if not slash:
+            return Fraction(int(num))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"not a rational: {text!r}") from exc
     match = _RATIONAL.fullmatch(stripped)
     if not match:
         raise ValueError(f"not a rational: {text!r}")
     exponent = match["exponent"]
     if exponent is not None and abs(Decimal(exponent)) > MAX_EXPONENT:
         raise ValueError(f"exponent of {text[:40]!r} exceeds {MAX_EXPONENT}")
-    num, slash, den = stripped.partition("/")
     if not slash:
         return Fraction(Decimal(num))
     try:
@@ -115,8 +141,10 @@ def format_int(value: int) -> str:
 
     ``str(int)`` refuses integers past ``sys.get_int_max_str_digits()``
     (4300 digits by default), which the bound values pass from n = 26 on,
-    so every conversion goes through Decimal, which has no such limit and is
-    exact. That conversion is quadratic in the digit count, so a value of
+    so a value that may have more than ``_STR_DIGITS`` digits goes through
+    Decimal, which has no such limit and is exact; a shorter one, such as
+    every tensor entry of a certify request, is written by ``str()``. The
+    Decimal conversion is quadratic in the digit count, so a value of
     more than ``_FORMAT_LEAF`` digits is first split by divide and conquer
     (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7): for an
     upper bound w on its digit count, divmod by 10^(w // 2) gives a high
@@ -127,6 +155,8 @@ def format_int(value: int) -> str:
     """
     # an upper bound on the digit count, as log10(2) < 0.30103
     width = value.bit_length() * 30103 // 100_000 + 1
+    if width <= _STR_DIGITS:
+        return str(value)
     if width <= _FORMAT_LEAF:
         return str(Decimal(value))
     pieces = ["-"] if value < 0 else []

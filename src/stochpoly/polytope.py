@@ -44,7 +44,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import _kernels
-from .tensor import Line, Tensor3, check_line_stochastic, flatten_index, lines
+from .tensor import Line, Tensor3, _line_scan, flatten_index, lines
 
 __all__ = [
     "HPolytope",
@@ -213,22 +213,17 @@ def is_vertex(t: Tensor3) -> VertexCertificate:
     """Certify whether t is a vertex of the polytope of its dimension.
 
     Infeasible points report the first violated line; feasible points are
-    vertices exactly when their support columns have full rank.
+    vertices exactly when their support columns have full rank. The line
+    check and the support come from one read of the entries.
     """
     hp = build_lp_polytope(t.n)
-    supp = [c for c, v in enumerate(t.flatten()) if v.numerator]
-    check = check_line_stochastic(t)
-    if not check.ok:
-        return VertexCertificate(
-            point=t,
-            support_size=len(supp),
-            rank=rank_exact(hp, supp),
-            verdict="infeasible",
-            violated=check.violation,
-        )
+    violation, supp = _line_scan(t)
     rk = rank_exact(hp, supp)
-    verdict = "vertex" if rk == len(supp) else "not_vertex"
-    return VertexCertificate(point=t, support_size=len(supp), rank=rk, verdict=verdict)
+    if violation is not None:
+        verdict = "infeasible"
+    else:
+        verdict = "vertex" if rk == len(supp) else "not_vertex"
+    return VertexCertificate(point=t, support_size=len(supp), rank=rk, verdict=verdict, violated=violation)
 
 
 def polytope_dimension(n: int) -> int:

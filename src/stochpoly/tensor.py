@@ -9,15 +9,22 @@ Indices are 0-based everywhere in process; the JSON layer and the Line
 descriptors report 1-based indices.
 
 Entries are ``Fraction`` values at every public boundary. The line check and
-``convex_combine`` put the values they add on one integer scale
-(``numerics.common_scale``), sum Python ints, and build at most one
-``Fraction`` per output entry.
+``convex_combine`` read each tensor's numerators and denominators once into
+two int lists, put the values they add on one integer scale (the lcm of
+their denominators), sum Python ints, and build at most one ``Fraction`` per
+output entry.
+
+The lines of each order are built once, as a table of (``Line``, cell tuple)
+pairs in canonical order, which ``lines(n)``, the line check, the polytope's
+equality system and the double description all read.
 """
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import add, floordiv, itemgetter, mul, ne
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .numerics import common_scale, format_rational, json_int, parse_rational
@@ -183,38 +190,78 @@ class LatinSquare:
         return f"LatinSquare({[list(r) for r in self.cells]})"
 
 
-def lines(n: int) -> Iterator[tuple[Line, range]]:
-    """All 3n^2 lines in canonical order, each with the flat indices of its
-    n cells: axis-3 lines (fix i, j), then axis-2 (fix i, k), then axis-1
-    (fix j, k), lexicographic within each block. This order matches the
-    constraint-row order of the polytope's equality system."""
+@lru_cache(maxsize=None)
+def _line_table(n: int) -> tuple[tuple[Line, tuple[int, ...]], ...]:
+    """The 3n^2 lines of order n in canonical order (see ``lines``), each
+    with the flat indices of its n cells; built once per order."""
     rng = range(n)
+    table = []
     for i in rng:
         for j in rng:
             start = flatten_index(n, i, j, 0)
-            yield Line(3, (i + 1, j + 1)), range(start, start + n)
+            table.append((Line(3, (i + 1, j + 1)), tuple(range(start, start + n))))
     for i in rng:
         for k in rng:
             start = flatten_index(n, i, 0, k)
-            yield Line(2, (i + 1, k + 1)), range(start, start + n * n, n)
+            table.append((Line(2, (i + 1, k + 1)), tuple(range(start, start + n * n, n))))
     for j in rng:
         for k in rng:
-            yield Line(1, (j + 1, k + 1)), range(flatten_index(n, 0, j, k), n**3, n * n)
+            table.append((Line(1, (j + 1, k + 1)), tuple(range(flatten_index(n, 0, j, k), n**3, n * n))))
+    return tuple(table)
 
 
-def check_line_stochastic(t: Tensor3) -> LineCheck:
-    """Verdict plus the first violating line (negative entry or sum != 1).
+def lines(n: int) -> Iterator[tuple[Line, tuple[int, ...]]]:
+    """All 3n^2 lines in canonical order, each with the flat indices of its
+    n cells: axis-3 lines (fix i, j), then axis-2 (fix i, k), then axis-1
+    (fix j, k), lexicographic within each block. This order matches the
+    constraint-row order of the polytope's equality system. The pairs come
+    from one table per order, so no ``Line`` is built after the first call."""
+    return iter(_line_table(n))
+
+
+def _split(t: Tensor3) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of t's flat entries."""
+    flat = t.flatten()
+    return [v.numerator for v in flat], [v.denominator for v in flat]
+
+
+@lru_cache(maxsize=None)
+def _line_columns(n: int) -> tuple[itemgetter, ...]:
+    """For k < n, a getter of the values at the k-th cell of every line, in
+    line order, from a flat list; a tuple, as there are 3n^2 >= 3 lines."""
+    return tuple(itemgetter(*column) for column in zip(*[cells for _, cells in _line_table(n)]))
+
+
+def _line_scan(t: Tensor3) -> tuple[Optional[Line], list[int]]:
+    """The first violating line of t (None when t is line-stochastic) and
+    the flat indices of its nonzero entries, from one read of the entries;
+    ``check_line_stochastic`` and ``polytope.is_vertex`` both use it.
 
     Each line is scaled by the lcm d of its own n denominators, so d stays
     bounded by n denominators however many distinct ones the tensor holds;
-    the line sums to 1 exactly when its integer numerators sum to d.
+    the line sums to 1 exactly when its integer numerators sum to d. All
+    lines are scaled and summed together, one cell position at a time.
     """
-    flat = t.flatten()
-    for line, cells in lines(t.n):
-        d, nums = common_scale([flat[c] for c in cells])
-        if min(nums) < 0 or sum(nums) != d:
-            return LineCheck(False, line)
-    return LineCheck(True, None)
+    nums, dens = _split(t)
+    support = [c for c, p in enumerate(nums) if p]
+    table, columns = _line_table(t.n), _line_columns(t.n)
+    parts = [column(dens) for column in columns]
+    scale = list(map(lcm, *parts))
+    sums = [0] * len(table)
+    for column, fs in zip(columns, parts):
+        sums = list(map(add, sums, map(mul, column(nums), map(floordiv, scale, fs))))
+    first = len(table) if sums == scale else list(map(ne, sums, scale)).index(True)
+    if min(nums) < 0:
+        negative = next(r for r, (_, cells) in enumerate(table) if min([nums[c] for c in cells]) < 0)
+        first = min(first, negative)
+    return (table[first][0] if first < len(table) else None), support
+
+
+def check_line_stochastic(t: Tensor3) -> LineCheck:
+    """Verdict plus the first violating line (negative entry or sum != 1),
+    each line on the integer scale of its own denominators."""
+    violation = _line_scan(t)[0]
+    return LineCheck(violation is None, violation)
 
 
 def is_line_stochastic(t: Tensor3) -> bool:
@@ -266,8 +313,10 @@ def convex_combine(
     """Entrywise weighted sum; weights must be nonnegative and sum to 1.
 
     With the weights on one scale, w_g = a_g / d, and the values of entry p
-    on theirs, v_gp = b_gp / e_p, entry p is sum(a_g * b_gp) / (d * e_p): an
-    integer sum and one Fraction per entry.
+    as v_gp = b_gp / f_gp, entry p is sum(a_g * b_gp * (e_p // f_gp)) /
+    (d * e_p) with e_p the lcm of the f_gp: an integer sum and one Fraction
+    per entry. Each source tensor's numerators and denominators are read
+    once.
     """
     if len(weights) != len(tensors) or not tensors:
         raise ValueError("need one weight per tensor, at least one of each")
@@ -279,11 +328,13 @@ def convex_combine(
     n = tensors[0].n
     if any(t.n != n for t in tensors):
         raise ValueError("dimension mismatch among tensors")
-    flat = []
-    for values in zip(*(t.flatten() for t in tensors)):
-        e, nums = common_scale(values)
-        flat.append(Fraction(sum(map(operator.mul, ws, nums)), d * e))
-    return Tensor3.from_flat(n, flat)
+    nums, dens = zip(*map(_split, tensors))
+    # entry by entry, as whole columns: e_p, then sum(a_g * b_gp * (e_p // f_gp))
+    scale = list(map(lcm, *dens))
+    total = [0] * n**3
+    for a, bs, fs in zip(ws, nums, dens):
+        total = list(map(add, total, map(mul, map(a.__mul__, bs), map(floordiv, scale, fs))))
+    return Tensor3.from_flat(n, map(Fraction, total, map(d.__mul__, scale)))
 
 
 def uniform_tensor(n: int) -> Tensor3:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stochpoly.birkhoff import (
+    Decomposition,
     DoublyStochasticMatrix,
     decompose,
     find_positive_matching,
@@ -137,6 +138,34 @@ def test_decomposition_step_strictly_shrinks_support():
         now = sum(1 for row in work for v in row if v > 0)
         assert now < positives
         positives = now
+
+
+def reference_decompose(m):
+    """The greedy loop in Fractions, as ``decompose`` ran it before it moved
+    to one integer scale: the terms as (weight, permutation) pairs."""
+    work = [list(row) for row in m.rows]
+    terms = []
+    remaining = Fraction(1)
+    while remaining > 0:
+        perm = find_positive_matching(work)
+        weight = min(work[i][perm[i]] for i in range(m.n))
+        for i in range(m.n):
+            work[i][perm[i]] -= weight
+        terms.append((weight, perm))
+        remaining -= weight
+    return tuple(terms)
+
+
+def test_decompose_on_one_integer_scale_matches_the_fraction_loop(fractions_built):
+    """Same terms in the same order as the Fraction loop, on matrices of
+    mixed denominators for n = 2..8, and one Fraction built per term."""
+    rng = random.Random(8)
+    for _ in range(60):
+        m = random_doubly_stochastic(rng, rng.randrange(2, 9))
+        result, built = fractions_built(decompose, m)
+        assert result.terms == reference_decompose(m)
+        assert result.to_json() == Decomposition(m.n, reference_decompose(m)).to_json()
+        assert built == len(result.terms)
 
 
 def test_matrix_json_round_trip():

@@ -57,6 +57,49 @@ def _fraction_rref(rows, ncols):
     return cols, mat[: len(cols)]
 
 
+def _signed_pivot_matrix(rng):
+    """Rows of an upper triangular block with diagonal +-1, so that its
+    Bareiss pivots are +-1 and often equal -prev, and below them rows of
+    small integers (some combinations of the block's rows) with zeros
+    forced into random pivot columns."""
+    r, k = rng.randrange(2, 8), rng.randrange(2, 10)
+    r = min(r, k)
+    rows = []
+    for i in range(r):
+        row = [0] * i + [rng.choice((1, -1))] + [rng.randrange(-3, 4) for _ in range(k - i - 1)]
+        rows.append(row)
+    for _ in range(rng.randrange(1, 8)):
+        if rng.random() < 0.3:
+            a, b = rng.sample(rows[:r], 2)
+            ca, cb = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            row = [ca * x + cb * y for x, y in zip(a, b)]
+        else:
+            row = [rng.randrange(-3, 4) for _ in range(k)]
+        for c in rng.sample(range(r), rng.randrange(0, r + 1)):
+            row[c] = 0
+        rows.append(row)
+    return rows
+
+
+def test_rank_int_matches_the_fraction_rank():
+    """rank_int against Fraction elimination on random small integer
+    matrices, sparse ones, sparse +-1 matrices like the far-corner systems
+    of ``polytope.rank_exact``, and matrices built to meet pivots equal to
+    -prev with zeros below them."""
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(150):
+        m, k = rng.randrange(1, 9), rng.randrange(1, 9)
+        cases.append([[rng.randrange(-3, 4) for _ in range(k)] for _ in range(m)])
+        cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(k)] for _ in range(m + 4)])
+        # zeros below pivots that are not +-prev, which must still be scaled
+        m, k = rng.randrange(4, 11), rng.randrange(4, 11)
+        cases.append([[rng.choice((0, 0, rng.randrange(-9, 10))) for _ in range(k)] for _ in range(m)])
+        cases.append(_signed_pivot_matrix(rng))
+    for rows in cases:
+        assert _kernels.rank_int(rows) == len(_fraction_rref(rows, len(rows[0]))[0])
+
+
 def test_reduce_is_greedy_and_scales_the_rref():
     rng = random.Random(5150)
     for _ in range(300):

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochpoly import _kernels
+from stochpoly import _kernels, tensor
 from stochpoly.enumeration import enumerate_latin_squares
 from stochpoly.polytope import VertexCertificate, build_lp_polytope, is_vertex
 from stochpoly.tensor import (
@@ -243,6 +244,15 @@ def test_convex_combine_preserves_line_stochasticity():
         assert is_line_stochastic(combined)
 
 
+def test_convex_combine_of_many_sources():
+    """200 000 sources: the running sums are one list per source, not a
+    chain of lazy maps one level deep per source, which overflows the C
+    stack near 10^5 sources."""
+    k = 200_000
+    one = Tensor3.from_flat(1, [1])
+    assert convex_combine([Fraction(1, k)] * k, [one] * k) == one
+
+
 def test_convex_combine_validation(half_vertex):
     cases = [
         ([], []),
@@ -438,6 +448,47 @@ def test_certify_paths_build_no_intermediate_fractions(fractions_built, half_ver
     assert built <= 27 + 3
     square = LatinSquare([[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
     assert fractions_built(latin_to_tensor, square)[1] == 2
+
+
+def test_check_vertex_request_work_counts(fractions_built, half_vertex, latin3_tensors):
+    """One n = 3 check-vertex request the way a client and the command line
+    serve it: 27 Fractions in convex_combine, 27 reading the JSON, none in
+    is_vertex or in writing; and once an order's lines are built, no
+    ``Line`` is built again, not even for a violated line."""
+    weights = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
+    sources = [half_vertex, *latin3_tensors[:2]]
+
+    def request(perturb):
+        point = convex_combine(weights, sources)
+        if perturb:
+            flat = list(point.flatten())
+            flat[13] += Fraction(1, 7)
+            point = Tensor3.from_flat(3, flat)
+        payload = json.dumps(tensor_to_json(point))
+        return json.loads(json.dumps(is_vertex(tensor_from_json(json.loads(payload))).to_json()))
+
+    built = []
+    original = Line.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    tensor._line_table.cache_clear()
+    Line.__new__ = staticmethod(counting)
+    try:
+        answer, fractions = fractions_built(request, False)
+        assert answer == {"verdict": "not_vertex", "support_size": 23, "rank": 19}
+        assert (fractions, len(built)) == (54, 27)
+        del built[:]
+        for perturb in (False, True):
+            _, fractions = fractions_built(request, perturb)
+            assert fractions == 54 + 2 * perturb  # the client's 1/7 and its sum
+        assert request(True)["violated"] == {"axis": 3, "fixed": [2, 2]}
+        assert check_line_stochastic(uniform_tensor(3)).ok
+        assert built == []
+    finally:
+        Line.__new__ = original
 
 
 def _primes(count):
