@@ -9,23 +9,25 @@ and the brute-force vertex oracle.
 The brute-force vertex oracle solves one exact linear system per candidate
 active set: C(n^3, 3n^2-3n+1) systems, about 2.2 million at n = 3. It runs
 fraction-free Gauss-Jordan elimination vectorized over batches of subsets
-with numpy int64 arithmetic. Intermediate entries of the elimination are
-minors of a 0/1 system augmented with a 0/1 right-hand side, so they are
-bounded far below 2^30 (the worst 20x20 0/1 determinant is under 10^8); the
-guard below still checks the bound on every step and raises OverflowError
-rather than silently wrapping, in which case the affected batch is redone
-with unbounded Python integers.
+with numpy int64 arithmetic, which is exact on a 0/1 system of rank r <= 21.
+Every entry of the elimination is a minor of order at most k = r + 1 of the
+0/1 matrix [A_F | 1], and bordering a 0/1 matrix of order k to a +-1 matrix
+of order k + 1 and applying Hadamard's inequality bounds such a minor by
+M = (k+1)^((k+1)/2) / 2^k (Brenner & Cummings 1972). A step forms
+pk * x - f * y from four such entries, at most 2 M^2 in absolute value, and
+2 M^2 < 2^63 is 2 (r+2)^(r+2) < 2^63 4^(r+1): true for r <= 21, where M is
+7.3 * 10^7 at r = 19 (n = 3). ``basic_feasible_solutions`` checks the 0/1
+entries and this inequality once, before the first batch, and refuses any
+other input.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd
 from typing import Sequence
 
 import numpy as np
-
-# entries above this make the next step's products unsafe for int64
-_GUARD = 1 << 30
 
 # candidate subsets eliminated together in one numpy batch
 _BATCH = 8192
@@ -139,24 +141,23 @@ def basic_feasible_solutions(
     that many candidate subsets (resource cap support).
 
     Returns a sorted list of (den, numerators) pairs: the solution vector is
-    numerators/den with den > 0 and gcd(den, *numerators) = 1.
+    numerators/den with den > 0 and gcd(den, *numerators) = 1. Raises
+    ValueError unless A is a 0/1 matrix and ``rank`` is at most 21, the
+    range in which the int64 elimination is exact (module docstring).
     """
     a = np.asarray(a_rows, dtype=np.int64)
+    if not ((a == 0) | (a == 1)).all():
+        raise ValueError("the brute-force oracle takes only 0/1 systems")
+    rank = operator.index(rank)  # a Python int, so the test below is exact
+    if 2 * (rank + 2) ** (rank + 2) >= 2**63 * 4 ** (rank + 1):
+        raise ValueError(f"rank {rank} is past the int64 range of the oracle (at most 21)")
     nc = a.shape[1]
     combos = itertools.combinations(range(nc), rank)
     if subset_limit is not None:
         combos = itertools.islice(combos, subset_limit)
     out: set[tuple[int, tuple[int, ...]]] = set()
     while chunk := list(itertools.islice(combos, _BATCH)):
-        try:
-            solved = _solve_batch(a, chunk, rank)
-        except OverflowError:
-            solved = []
-            for free in chunk:
-                res = solve_for_free_columns(a_rows, free)
-                if res is not None:
-                    solved.append((free, *res))
-        for free, den, nums in solved:
+        for free, den, nums in _solve_batch(a, chunk, rank):
             out.add(_canonical(nc, free, den, nums))
     return sorted(out)
 
@@ -181,8 +182,7 @@ def _solve_batch(
     a: np.ndarray, chunk: list, r: int
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """(free_cols, den, numerators) for every subset in ``chunk`` whose
-    restricted system has a unique nonnegative solution. Raises
-    OverflowError if an elimination entry passes _GUARD."""
+    restricted system has a unique nonnegative solution."""
     m = a.shape[0]
     nb = len(chunk)
     fsel = np.array(chunk, dtype=np.int64)
@@ -213,8 +213,6 @@ def _solve_batch(
         mat //= prev[:, None, None]
         mat[:, col, :] = top
         prev = pk
-        if np.abs(mat).max(initial=0) > _GUARD:
-            raise OverflowError("elimination entries exceeded the int64 safety bound")
     if m > r:
         consistent = (mat[:, r:, r] == 0).all(axis=1)
     else:

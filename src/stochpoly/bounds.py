@@ -23,7 +23,7 @@ in the same balanced order (``_fold``) as two halves whose root forms only Q
 and T, and ended by one exact division. The values have about n^3 digits;
 ``BoundReport.to_json`` writes them with ``numerics.format_int``, which
 splits a long value at powers of ten and converts only pieces of at most
-1000 digits.
+640 digits with ``str()``.
 The two combinatorial lemmas the comparisons rest on (the shifted-binomial
 doubling inequality and a hockey-stick style sum bound) are exposed as
 checkable statements so they can be swept for counterexamples.

@@ -6,10 +6,11 @@ denominator), so every comparison and every bound evaluation is exact.
 Checks that add or compare many rationals first put them on one integer
 scale with ``common_scale`` and then work on Python ints alone.
 
-The wire forms are read and written with ``int()`` and ``str()`` when every
-digit string involved is at most ``_STR_DIGITS`` long, which no setting of
-Python's int/str digit limit refuses; longer numbers, decimals and
-exponents go through ``Decimal``, which has no such limit.
+The wire forms are written with ``str()`` on pieces of at most
+``_STR_DIGITS`` digits, which no setting of Python's int/str digit limit
+refuses, and read with ``int()`` when every digit string is that short;
+longer numbers, decimals and exponents are read through ``Decimal``, which
+has no such limit.
 """
 from __future__ import annotations
 
@@ -29,8 +30,6 @@ _RATIONAL = re.compile(
 #: largest decimal exponent ``parse_rational`` expands: 1e10000 is a
 #: 33 000-bit integer, while 1e10000000 took 15.8 s to build
 MAX_EXPONENT = 10_000
-#: most digits ``format_int`` converts in one quadratic step
-_FORMAT_LEAF = 1000
 #: the lowest int/str digit limit ``sys.set_int_max_str_digits`` accepts, so
 #: ``int()`` and ``str()`` convert this many digits under any setting
 _STR_DIGITS = 640
@@ -89,11 +88,10 @@ def parse_rational(text: str) -> Fraction:
 
     A lone 'p' may also be a decimal such as '0.5', read exactly. The
     canonical forms with parts of at most ``_STR_DIGITS`` digits are read
-    with ``int()``; every other form goes through Decimal, the way
-    ``format_int`` writes long numbers, so there is no int/str digit limit
-    on either part. Both paths accept the same texts with the same values
-    and messages. A decimal exponent above ``MAX_EXPONENT`` in absolute
-    value is refused before it is expanded.
+    with ``int()``; every other form goes through Decimal, so there is no
+    int/str digit limit on either part. Both paths accept the same texts
+    with the same values and messages. A decimal exponent above
+    ``MAX_EXPONENT`` in absolute value is refused before it is expanded.
     """
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r}")
@@ -140,31 +138,27 @@ def format_int(value: int) -> str:
     """Decimal digits of an integer, however many there are.
 
     ``str(int)`` refuses integers past ``sys.get_int_max_str_digits()``
-    (4300 digits by default), which the bound values pass from n = 26 on,
-    so a value that may have more than ``_STR_DIGITS`` digits goes through
-    Decimal, which has no such limit and is exact; a shorter one, such as
-    every tensor entry of a certify request, is written by ``str()``. The
-    Decimal conversion is quadratic in the digit count, so a value of
-    more than ``_FORMAT_LEAF`` digits is first split by divide and conquer
-    (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7): for an
-    upper bound w on its digit count, divmod by 10^(w // 2) gives a high
-    piece of at most w - w // 2 digits and a low piece written zero-padded
-    to w // 2, each split again until it fits a leaf. Each power of ten is
-    built once per call; the leading piece is written unpadded, and dropped
-    while it is zero.
+    (4300 digits by default, 640 at the lowest setting), which the bound
+    values pass from n = 26 on, and it is quadratic in the digit count. So
+    ``str()`` writes only pieces of at most ``_STR_DIGITS`` digits, such as
+    every tensor entry of a certify request, and a longer value is split by
+    divide and conquer (Brent & Zimmermann, *Modern Computer Arithmetic*,
+    section 1.7): for an upper bound w on its digit count, divmod by
+    10^(w // 2) gives a high piece of at most w - w // 2 digits and a low
+    piece written zero-padded to w // 2, each split again until it fits.
+    Each power of ten is built once per call; the leading piece is written
+    unpadded, and dropped while it is zero.
     """
     # an upper bound on the digit count, as log10(2) < 0.30103
     width = value.bit_length() * 30103 // 100_000 + 1
     if width <= _STR_DIGITS:
         return str(value)
-    if width <= _FORMAT_LEAF:
-        return str(Decimal(value))
     pieces = ["-"] if value < 0 else []
     powers: dict[int, int] = {}
 
     def write(v: int, width: int, lead: bool) -> None:
-        if width <= _FORMAT_LEAF:
-            digits = str(Decimal(v))
+        if width <= _STR_DIGITS:
+            digits = str(v)
             pieces.append(digits if lead else digits.zfill(width))
             return
         low = width // 2

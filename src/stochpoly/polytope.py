@@ -71,7 +71,6 @@ class HPolytope:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
-    line_index: tuple[Line, ...]
     rank: int
     null_basis: tuple[SparseVector, ...]
 
@@ -159,15 +158,13 @@ def build_lp_polytope(n: int) -> HPolytope:
         raise ValueError("dimension must be positive")
     nv = n**3
     rows = []
-    labels = []
-    for line, cells in lines(n):
+    for _, cells in lines(n):
         row = [0] * nv
         for c in cells:
             row[c] = 1
         rows.append(tuple(row))
-        labels.append(line)
     rank, basis = _boundary_basis(n, rows)
-    return HPolytope(n=n, rows=tuple(rows), line_index=tuple(labels), rank=rank, null_basis=basis)
+    return HPolytope(n=n, rows=tuple(rows), rank=rank, null_basis=basis)
 
 
 def rank_exact(hp: HPolytope, columns: Sequence[int]) -> int:

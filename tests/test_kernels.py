@@ -1,10 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import stochpoly
 from stochpoly import _kernels
 from stochpoly.polytope import build_lp_polytope
 
@@ -25,8 +32,6 @@ def test_rank_int_handles_big_values():
 
 
 def test_rank_int_agrees_with_float_rank_on_random_small():
-    import numpy as np
-
     rng = random.Random(77)
     for _ in range(50):
         m = rng.randrange(1, 6)
@@ -243,13 +248,70 @@ def test_bfs_on_random_systems_matches_fraction_solve():
     assert checked > 10
 
 
-def test_pure_guard_falls_back_to_bigint(monkeypatch):
-    # force the int64 guard to trip so every chunk reruns on Python ints
-    hp = build_lp_polytope(2)
-    reference = _kernels.basic_feasible_solutions(hp.rows, hp.rank)
-    monkeypatch.setattr(_kernels, "_GUARD", 0)
-    guarded = _kernels.basic_feasible_solutions(hp.rows, hp.rank)
-    assert guarded == reference
+def _identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _refuse_batches(*args):
+    raise AssertionError("_solve_batch ran on an input outside the proven range")
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[1, 0, 2], [0, 1, 1]], 2),
+        ([[1, 0, -1], [0, 1, 1]], 2),
+        (_identity(22), 22),
+        (_identity(22), np.int64(22)),
+    ],
+    ids=["entry-2", "entry-minus-1", "rank-22", "numpy-rank-22"],
+)
+def test_bfs_refuses_inputs_outside_the_int64_range(monkeypatch, rows, rank):
+    # the range check comes before any batch is eliminated
+    monkeypatch.setattr(_kernels, "_solve_batch", _refuse_batches)
+    with pytest.raises(ValueError):
+        _kernels.basic_feasible_solutions(rows, rank)
+
+
+def test_bfs_accepts_rank_21():
+    assert _kernels.basic_feasible_solutions(_identity(21), 21) == [(1, (1,) * 21)]
+
+
+def test_elimination_entries_stay_in_the_hadamard_bound():
+    """Replay the oracle's fraction-free Gauss-Jordan steps on [A_F | 1] for
+    random 19-subsets F of column-permuted n = 3 systems, in Python ints:
+    every entry is a 0/1 minor of order at most 20, so at most
+    floor(21^10.5 / 2^20), and every value pk * x - f * y formed before the
+    exact division stays below 2^63."""
+    entry_bound = isqrt(21**21 // 4**20)
+    hp = build_lp_polytope(3)
+    r = hp.rank
+    rng = random.Random(1972)
+    biggest = 0
+    for _ in range(10):
+        perm = list(range(hp.num_vars))
+        rng.shuffle(perm)
+        rows = [[row[c] for c in perm] for row in hp.rows]
+        for _ in range(20):
+            free = sorted(rng.sample(range(hp.num_vars), r))
+            m = [[row[c] for c in free] + [1] for row in rows]
+            prev = 1
+            for col in range(r):
+                # the pivot choice of _solve_batch: the first nonzero entry at
+                # or below the diagonal, swapped up; a subset without one is
+                # not a basis and leaves the batch
+                piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+                if piv is None:
+                    break
+                m[col], m[piv] = m[piv], m[col]
+                top, pk = m[col], m[col][col]
+                pre = max(abs(pk * x - row[col] * y) for row in m for x, y in zip(row, top))
+                assert pre < 2**63
+                prev = _kernels.pivot(m, col, col, prev)
+                largest = max(abs(x) for row in m for x in row)
+                assert largest <= entry_bound
+                biggest = max(biggest, largest)
+    assert biggest > 1
 
 
 def test_solutions_satisfy_system():
@@ -259,3 +321,26 @@ def test_solutions_satisfy_system():
         assert all(v >= 0 for v in x)
         for row in hp.rows:
             assert sum(c * v for c, v in zip(row, x)) == 1
+
+
+def test_bfs_range_check_survives_optimize_flag():
+    # `python -O` strips assert statements; the range check must still run
+    script = textwrap.dedent(
+        """
+        import sys
+        from stochpoly._kernels import basic_feasible_solutions
+        if __debug__:
+            sys.exit("not running under -O")
+        try:
+            basic_feasible_solutions([[1, 0, 2], [0, 1, 1]], 2)
+        except ValueError:
+            sys.exit(0)
+        sys.exit("an entry of 2 passed the range check")
+        """
+    )
+    src = str(Path(stochpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
