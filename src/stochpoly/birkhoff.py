@@ -19,12 +19,17 @@ from .numerics import common_scale, format_rational, json_int, parse_rational
 
 __all__ = [
     "DoublyStochasticMatrix",
+    "NotDoublyStochastic",
     "Decomposition",
     "decompose",
     "find_positive_matching",
     "matrix_to_json",
     "matrix_from_json",
 ]
+
+
+class NotDoublyStochastic(ValueError):
+    """A matrix has a negative entry or a row or column sum other than 1."""
 
 
 class DoublyStochasticMatrix:
@@ -44,13 +49,13 @@ class DoublyStochasticMatrix:
                 raise ValueError("matrix is not square")
             d, nums = common_scale(row)
             if min(nums) < 0:
-                raise ValueError(f"negative entry in row {i + 1}")
+                raise NotDoublyStochastic(f"negative entry in row {i + 1}")
             if sum(nums) != d:
-                raise ValueError(f"row {i + 1} sums to {sum(row)}, not 1")
+                raise NotDoublyStochastic(f"row {i + 1} sums to {sum(row)}, not 1")
         for j, column in enumerate(zip(*grid)):
             d, nums = common_scale(column)
             if sum(nums) != d:
-                raise ValueError(f"column {j + 1} sums to {sum(column)}, not 1")
+                raise NotDoublyStochastic(f"column {j + 1} sums to {sum(column)}, not 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", grid)
 

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .birkhoff import decompose, matrix_from_json
+from .birkhoff import NotDoublyStochastic, decompose, matrix_from_json
 from .bounds import verify_chain
 from .enumeration import (
     BOUNDS_MAX_N,
@@ -182,7 +182,7 @@ def cmd_vertices(args) -> int:
 def cmd_check_vertex(args) -> int:
     try:
         tensor = tensor_from_json(_load_json(args.tensor_file))
-        # the equality system has one row per line and one column per entry
+        # no system is built; 3n^2 x n^3 bounds rank_exact's M, at most (3n^2 - 3n + 1) x (n - 1)^3
         _check_cap(3 * tensor.n**2 * tensor.n**3, "an equality system")
     except ResourceCapExceeded as exc:
         return _fail(str(exc), EXIT_CAP)
@@ -238,11 +238,10 @@ def cmd_latin(args) -> int:
 def cmd_decompose(args) -> int:
     try:
         matrix = matrix_from_json(_load_json(args.matrix_file))
+    except NotDoublyStochastic as exc:
+        return _fail(str(exc), EXIT_NOT_DOUBLY_STOCHASTIC)
     except ValueError as exc:
-        message = str(exc)
-        if "sums to" in message or "negative entry" in message:
-            return _fail(message, EXIT_NOT_DOUBLY_STOCHASTIC)
-        return _fail(message, EXIT_USAGE)
+        return _fail(str(exc), EXIT_USAGE)
     result = decompose(matrix)
     bound = matrix.n**2 - 2 * matrix.n + 2
     _emit(

@@ -21,7 +21,7 @@ boundary columns are a basis of the column space of A:
 (a) the boundary columns peel away completely (repeatedly take a line that
     holds exactly one remaining boundary cell and remove that cell), so
     they are independent and rank(A) >= 3n^2 - 3n + 1;
-(b) A b_v = 0 for every leading v, checked on the rows;
+(b) A b_v = 0 for every leading v, checked on the lines;
 (c) each b_v has a unit on its own leading cell and no other leading cell,
     so the (n - 1)^3 vectors b_v are independent and rank(A) <= n^3 -
     (n - 1)^3 = 3n^2 - 3n + 1.
@@ -61,18 +61,25 @@ SparseVector = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Equality system A x = 1 (plus x >= 0) for dimension n.
-
-    rows[r] is the 0/1 coefficient vector of the r-th line in the canonical
-    line order of :func:`stochpoly.tensor.lines`. null_basis[c] is the
-    far-corner vector b_c of a leading cell c, its pair (c, 1) first, and
-    empty for a boundary cell c (see the module docstring).
+    """Equality system A x = 1 (plus x >= 0) for dimension n, held as its
+    lines (:func:`stochpoly.tensor.lines`); ``rows`` builds the dense 0/1
+    matrix A on request. null_basis[c] is the far-corner vector b_c of a
+    leading cell c, its pair (c, 1) first, and empty for a boundary cell c
+    (see the module docstring).
     """
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
     rank: int
     null_basis: tuple[SparseVector, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """A as 0/1 rows in line order, built anew on each access."""
+        rows = [[0] * self.n**3 for _ in range(self.num_rows)]
+        for row, (_, cells) in zip(rows, lines(self.n)):
+            for c in cells:
+                row[c] = 1
+        return tuple(map(tuple, rows))
 
     @property
     def num_vars(self) -> int:
@@ -80,23 +87,20 @@ class HPolytope:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return 3 * self.n**2
 
 
-def _boundary_basis(n: int, rows: Sequence[Sequence[int]]) -> tuple[int, tuple[SparseVector, ...]]:
-    """Prove that the boundary columns of the line system ``rows`` of
-    dimension n are a basis of its column space, by checks (a)-(c) of the
-    module docstring, and return rank(A) = 3n^2 - 3n + 1 with the far-corner
-    null basis indexed by cell. Raises AssertionError (not through
-    ``assert``, so ``python -O`` keeps it) when a check fails."""
+def _boundary_basis(n: int, line_cells: Sequence[Sequence[int]]) -> tuple[int, tuple[SparseVector, ...]]:
+    """Prove that the boundary columns of the line system of dimension n,
+    given as each line's cells, are a basis of its column space, by checks
+    (a)-(c) of the module docstring, and return rank(A) = 3n^2 - 3n + 1 with
+    the far-corner null basis indexed by cell. Raises AssertionError (not
+    through ``assert``, so ``python -O`` keeps it) when a check fails."""
     nv = n**3
-    line_cells = []
     cell_lines: list[list[int]] = [[] for _ in range(nv)]
-    for r, row in enumerate(rows):
-        cells = [c for c, x in enumerate(row) if x]
-        if len(cells) != n or any(row[c] != 1 for c in cells):
-            raise AssertionError(f"line {r} does not have exactly {n} cells")
-        line_cells.append(cells)
+    for r, cells in enumerate(line_cells):
+        if len(cells) != n or len(set(cells)) != n or min(cells) < 0 or max(cells) >= nv:
+            raise AssertionError(f"line {r} does not have {n} distinct cells in range({nv})")
         for c in cells:
             cell_lines[c].append(r)
     if any(len(ls) != 3 for ls in cell_lines):
@@ -152,19 +156,11 @@ def _boundary_basis(n: int, rows: Sequence[Sequence[int]]) -> tuple[int, tuple[S
 
 @lru_cache(maxsize=None)
 def build_lp_polytope(n: int) -> HPolytope:
-    """Construct the equality system for dimension n and prove its rank and
-    its boundary basis (module docstring)."""
+    """The line system of dimension n with its rank and boundary basis proved."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    nv = n**3
-    rows = []
-    for _, cells in lines(n):
-        row = [0] * nv
-        for c in cells:
-            row[c] = 1
-        rows.append(tuple(row))
-    rank, basis = _boundary_basis(n, rows)
-    return HPolytope(n=n, rows=tuple(rows), rank=rank, null_basis=basis)
+    rank, basis = _boundary_basis(n, [cells for _, cells in lines(n)])
+    return HPolytope(n=n, rank=rank, null_basis=basis)
 
 
 def rank_exact(hp: HPolytope, columns: Sequence[int]) -> int:

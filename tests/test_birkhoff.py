@@ -6,6 +6,7 @@ import pytest
 from stochpoly.birkhoff import (
     Decomposition,
     DoublyStochasticMatrix,
+    NotDoublyStochastic,
     decompose,
     find_positive_matching,
     matrix_from_json,
@@ -43,8 +44,9 @@ def test_validation():
         DoublyStochasticMatrix([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2), Fraction(3, 4)]])
     with pytest.raises(ValueError):
         DoublyStochasticMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         DoublyStochasticMatrix([[1, 0]])  # not square
+    assert not isinstance(exc.value, NotDoublyStochastic)
 
 
 P = 2**61 - 1  # a prime
@@ -64,7 +66,7 @@ H, E = Fraction(1, 2), Fraction(1, P)
     ],
 )
 def test_validation_messages(rows, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(NotDoublyStochastic, match=f"^{message}$"):
         DoublyStochasticMatrix(rows)
 
 

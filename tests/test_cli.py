@@ -244,6 +244,22 @@ def test_decompose_rejects_non_doubly_stochastic(capsys, tmp_path):
     assert "sums to" in err
 
 
+@pytest.mark.parametrize(
+    "rows, code, message",
+    [
+        ([["1/2", "1/4"], ["1/2", "3/4"]], 7, "row 1 sums to 3/4, not 1"),
+        ([["-1", "2"], ["2", "-1"]], 7, "negative entry in row 1"),
+        # unreadable entries whose text reads like an exit-7 message
+        ([["negative entry", "1"], ["1", "0"]], 1, "not a rational: 'negative entry'"),
+        ([["sums to", "1"], ["1", "0"]], 1, "not a rational: 'sums to'"),
+    ],
+)
+def test_decompose_exit_code_follows_the_error_not_its_text(capsys, tmp_path, rows, code, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "rows": rows}))
+    assert run(capsys, "decompose", str(path)) == (code, "", f"error: {message}\n")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "bounds")[0] == 1  # missing n
     assert run(capsys, "unknown-command")[0] == 1

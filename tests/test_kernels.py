@@ -285,13 +285,13 @@ def test_elimination_entries_stay_in_the_hadamard_bound():
     exact division stays below 2^63."""
     entry_bound = isqrt(21**21 // 4**20)
     hp = build_lp_polytope(3)
-    r = hp.rank
+    r, dense = hp.rank, hp.rows
     rng = random.Random(1972)
     biggest = 0
     for _ in range(10):
         perm = list(range(hp.num_vars))
         rng.shuffle(perm)
-        rows = [[row[c] for c in perm] for row in hp.rows]
+        rows = [[row[c] for c in perm] for row in dense]
         for _ in range(20):
             free = sorted(rng.sample(range(hp.num_vars), r))
             m = [[row[c] for c in free] + [1] for row in rows]
@@ -316,10 +316,11 @@ def test_elimination_entries_stay_in_the_hadamard_bound():
 
 def test_solutions_satisfy_system():
     hp = build_lp_polytope(2)
-    for den, nums in _kernels.basic_feasible_solutions(hp.rows, hp.rank):
+    rows = hp.rows
+    for den, nums in _kernels.basic_feasible_solutions(rows, hp.rank):
         x = [Fraction(v, den) for v in nums]
         assert all(v >= 0 for v in x)
-        for row in hp.rows:
+        for row in rows:
             assert sum(c * v for c, v in zip(row, x)) == 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ import stochpoly
 from stochpoly import _kernels
 from stochpoly.enumeration import enumerate_latin_squares
 from stochpoly.polytope import (
+    HPolytope,
     _boundary_basis,
     build_lp_polytope,
     is_vertex,
@@ -26,6 +28,7 @@ from stochpoly.tensor import (
     convex_combine,
     flatten_index,
     latin_to_tensor,
+    lines,
     support,
     uniform_tensor,
 )
@@ -44,9 +47,35 @@ def test_build_shapes_and_rank(n, rows, cols, rank):
 
 def test_row_and_column_degrees():
     hp = build_lp_polytope(3)
-    assert all(sum(row) == 3 for row in hp.rows)
+    rows = hp.rows
+    assert all(sum(row) == 3 for row in rows)
     for c in range(hp.num_vars):
-        assert sum(row[c] for row in hp.rows) == 3
+        assert sum(row[c] for row in rows) == 3
+
+
+def reference_rows(n):
+    """The dense system from the definition: axis-3 lines (fix i, j), then
+    axis-2 (fix i, k), then axis-1 (fix j, k), each the 0/1 indicator of the
+    cells flatten_index gives it."""
+    rows = []
+    for axis in (2, 1, 0):
+        for fixed in product(range(n), repeat=2):
+            row = [0] * n**3
+            for t in range(n):
+                ijk = list(fixed)
+                ijk.insert(axis, t)
+                row[flatten_index(n, *ijk)] = 1
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_rows_match_the_line_definition(n):
+    assert build_lp_polytope(n).rows == reference_rows(n)
+
+
+def test_polytope_keeps_no_dense_matrix():
+    assert {f.name for f in dataclasses.fields(HPolytope)} == {"n", "rank", "null_basis"}
 
 
 @pytest.mark.parametrize("n, dim", [(1, 0), (2, 1), (3, 8), (4, 27)])
@@ -67,7 +96,7 @@ def test_rank_exact_selections(half_vertex):
 def test_equality_system_satisfied_by_line_stochastic_points():
     rng = random.Random(5)
     squares = enumerate_latin_squares(3)
-    hp = build_lp_polytope(3)
+    rows = build_lp_polytope(3).rows
     for _ in range(10):
         picks = rng.sample(squares, 4)
         raw = [rng.randrange(1, 9) for _ in picks]
@@ -76,7 +105,7 @@ def test_equality_system_satisfied_by_line_stochastic_points():
             [Fraction(r, total) for r in raw], [latin_to_tensor(s) for s in picks]
         )
         flat = t.flatten()
-        for row in hp.rows:
+        for row in rows:
             assert sum(c * x for c, x in zip(row, flat)) == 1
 
 
@@ -123,9 +152,9 @@ def test_build_rejects_nonpositive():
 # --- the rank in the boundary basis against the dense reference -----------
 
 
-def dense_rank(hp, columns):
+def dense_rank(rows, columns):
     """Reference: Bareiss on the selected columns of all 3n^2 rows."""
-    return _kernels.rank_int([[row[c] for c in columns] for row in hp.rows])
+    return _kernels.rank_int([[row[c] for c in columns] for row in rows])
 
 
 def cells(n, leading):
@@ -146,11 +175,12 @@ def supports(draw, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rank_exact_matches_the_dense_rank(n):
     hp = build_lp_polytope(n)
+    rows = hp.rows
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(supports(n))
     def check(columns):
-        assert rank_exact(hp, columns) == dense_rank(hp, columns)
+        assert rank_exact(hp, columns) == dense_rank(rows, columns)
 
     check()
 
@@ -165,6 +195,7 @@ def latin_supports(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rank_exact_edge_supports(n, half_vertex):
     hp = build_lp_polytope(n)
+    rows = hp.rows
     boundary, leading = cells(n, False), cells(n, True)
     cases = {
         "empty": ([], 0),
@@ -180,7 +211,7 @@ def test_rank_exact_edge_supports(n, half_vertex):
         cases["half vertex"] = (half, 17)
     for name, (columns, expected) in cases.items():
         got = rank_exact(hp, columns)
-        assert got == dense_rank(hp, list(columns)), name
+        assert got == dense_rank(rows, list(columns)), name
         if expected is not None:
             assert got == expected, name
 
@@ -223,36 +254,45 @@ def test_build_runs_no_elimination_and_rank_exact_only_leading_columns(monkeypat
 # --- the build proof fails loudly -----------------------------------------
 
 
-def line_rows(n):
-    return [list(row) for row in build_lp_polytope(n).rows]
+def line_cells(n):
+    return [list(line) for _, line in lines(n)]
 
 
 def move_one(n):
-    """Row 0 (cells 0..n-1) has its 1 at cell 0 moved to cell n*n, off the line."""
-    rows = line_rows(n)
-    rows[0][0], rows[0][n * n] = 0, 1
-    return rows
+    """Line 0 (cells 0..n-1) has its cell 0 moved to cell n*n, off the line."""
+    system = line_cells(n)
+    system[0][0] = n * n
+    return system
 
 
-def swap(rows, moves):
-    """Each (r1, r2, c0, c1) moves row r1's 1 from c0 to c1 and row r2's
-    from c1 to c0, so every row and column keeps its number of ones."""
+def swap(system, moves):
+    """Each (r1, r2, c0, c1) moves line r1's cell c0 to c1 and line r2's
+    cell c1 to c0, so every line keeps n cells and every cell 3 lines."""
     for r1, r2, c0, c1 in moves:
-        rows[r1][c0], rows[r1][c1], rows[r2][c1], rows[r2][c0] = 0, 1, 0, 1
+        assert c1 not in system[r1] and c0 not in system[r2]
+        system[r1][system[r1].index(c0)] = c1
+        system[r2][system[r2].index(c1)] = c0
+    return system
+
+
+def dense(n, system):
+    """The 0/1 rows of a system given as each line's cells."""
+    rows = [[0] * n**3 for _ in system]
+    for row, line in zip(rows, system):
+        for c in line:
+            row[c] = 1
     return rows
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_boundary_basis_proof_holds_on_the_line_system(n):
-    rows = build_lp_polytope(n).rows
-    rank, basis = _boundary_basis(n, rows)
+    system = line_cells(n)
+    rank, basis = _boundary_basis(n, system)
     assert rank == 3 * n * n - 3 * n + 1
     assert [v for v, vec in enumerate(basis) if vec] == cells(n, True)
     for vec in basis:
-        dense = [0] * n**3
-        for u, s in vec:
-            dense[u] = s
-        assert all(sum(a * x for a, x in zip(row, dense)) == 0 for row in rows)
+        coefficient = dict(vec)
+        assert all(sum(coefficient.get(c, 0) for c in line) == 0 for line in system)
 
 
 def test_boundary_basis_proof_rejects_tampered_systems():
@@ -261,13 +301,21 @@ def test_boundary_basis_proof_rejects_tampered_systems():
     # lines (i=1, k=1) and (i=1, k=2) trade cells (1,1,1) and (1,1,2): the
     # far-corner vector of (1,1,1) leaves the null space
     with pytest.raises(AssertionError, match="null space"):
-        _boundary_basis(3, swap(line_rows(3), [(9, 10, 0, 1)]))
+        _boundary_basis(3, swap(line_cells(3), [(9, 10, 0, 1)]))
     # every far-corner vector stays in the null space, but the rank drops
     # to 6: only the peeling sees it
-    rows = swap(line_rows(2), [(2, 11, 4, 7), (8, 3, 0, 6), (4, 5, 2, 1), (2, 9, 7, 1)])
-    assert _kernels.rank_int(rows) == 6
+    system = swap(line_cells(2), [(2, 11, 4, 7), (8, 3, 0, 6), (4, 5, 2, 1), (2, 9, 7, 1)])
+    assert _kernels.rank_int(dense(2, system)) == 6
     with pytest.raises(AssertionError, match="peel"):
-        _boundary_basis(2, rows)
+        _boundary_basis(2, system)
+
+
+@pytest.mark.parametrize("line", [[0, 0, 1], [0, 1, 27], [-1, 0, 1], [0, 1], [0, 1, 2, 3]])
+def test_boundary_basis_proof_rejects_malformed_lines(line):
+    system = line_cells(3)
+    system[0] = line
+    with pytest.raises(AssertionError, match="line 0 does not have 3 distinct cells"):
+        _boundary_basis(3, system)
 
 
 def test_boundary_basis_proof_survives_optimize_flag():
@@ -275,13 +323,14 @@ def test_boundary_basis_proof_survives_optimize_flag():
     script = textwrap.dedent(
         """
         import sys
-        from stochpoly.polytope import _boundary_basis, build_lp_polytope
+        from stochpoly.polytope import _boundary_basis
+        from stochpoly.tensor import lines
         if __debug__:
             sys.exit("not running under -O")
-        rows = [list(row) for row in build_lp_polytope(3).rows]
-        rows[0][0], rows[0][9] = 0, 1
+        cells = [list(line) for _, line in lines(3)]
+        cells[0][0] = 9
         try:
-            _boundary_basis(3, rows)
+            _boundary_basis(3, cells)
         except AssertionError:
             sys.exit(0)
         sys.exit("a tampered system passed the proof")
