@@ -29,8 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-# candidate subsets eliminated together in one numpy batch
-_BATCH = 8192
+# candidate subsets eliminated together in one numpy batch; on the first
+# 200 000 subsets of the n = 3 system 1024 took 15.5-15.8 s against 19.2-20.2 s
+# for 8192, with the same solutions
+_BATCH = 1024
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:

@@ -8,7 +8,7 @@ Exit codes:
     0  success / claim verified / feasible
     1  usage error or unreadable input
     2  an asserted inequality or cross-method comparison failed
-    3  enumeration cap exceeded
+    3  a work limit refused the input before any work
     4  check-vertex: point is feasible but not a vertex
     5  check-vertex: point is infeasible
     6  membership: point is outside the hull (with Farkas certificate)
@@ -26,10 +26,13 @@ from .birkhoff import NotDoublyStochastic, decompose, matrix_from_json
 from .bounds import verify_chain
 from .enumeration import (
     BOUNDS_MAX_N,
-    CAP_ENV,
+    CHECK_VERTEX_MAX_N,
+    DECOMPOSE_MAX_N,
     HULL_LATIN_MAX_N,
+    LATIN_MAX_N,
+    MEMBERSHIP_MAX_CELLS,
+    VERTICES_MAX_N,
     ResourceCapExceeded,
-    _max_cells,
     count_latin_squares,
     enumerate_latin_squares,
     enumerate_vertices_bruteforce,
@@ -75,16 +78,6 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _check_cap(cells: int, what: str) -> None:
-    """Refuse work over more than STOCHPOLY_MAX_CELLS cells before it starts;
-    a malformed cap raises ValueError."""
-    cap = _max_cells()
-    if cells > cap:
-        raise ResourceCapExceeded(
-            f"{what} of {cells} cells exceeds the cap of {cap} (raise {CAP_ENV} to override)"
-        )
-
-
 def _bounds_table(report) -> str:
     rows = [
         ("lower_latin", format_rational(Fraction(report.lower_latin))),
@@ -111,7 +104,7 @@ def cmd_bounds(args) -> int:
         return _fail("--sweep MAX_N must be >= 2", EXIT_USAGE)
     top = args.n if args.sweep is None else args.sweep
     if top > BOUNDS_MAX_N:
-        return _fail(f"bounds are capped at n <= {BOUNDS_MAX_N}", EXIT_CAP)
+        raise ResourceCapExceeded(f"bounds are capped at n <= {BOUNDS_MAX_N}")
     if args.sweep is not None:
         reports = [verify_chain(n) for n in range(2, args.sweep + 1)]
     elif args.n >= 2:
@@ -149,32 +142,22 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_vertices(args) -> int:
-    if args.n >= 4 and args.method in ("dd", "both"):
-        sys.stderr.write(
-            "warning: double description at n >= 4 can take hours and a lot "
-            "of memory; the intermediate-ray cap (STOCHPOLY_MAX_CELLS) still applies\n"
-        )
-    try:
-        if args.method == "dd":
-            vs = enumerate_vertices_dd(args.n)
-        elif args.method == "brute":
-            vs = enumerate_vertices_bruteforce(args.n)
-        else:
-            vs = enumerate_vertices_dd(args.n)
-            brute = enumerate_vertices_bruteforce(args.n)
-            if vs.vertices != brute.vertices:
-                _emit(
-                    {
-                        "error": "method disagreement",
-                        "dd_total": vs.total,
-                        "brute_total": brute.total,
-                    }
-                )
-                return EXIT_CLAIM_FAILED
-    except ResourceCapExceeded as exc:
-        return _fail(str(exc), EXIT_CAP)
-    except ValueError as exc:  # a malformed STOCHPOLY_MAX_CELLS
-        return _fail(str(exc), EXIT_USAGE)
+    if args.method == "dd":
+        vs = enumerate_vertices_dd(args.n)
+    elif args.method == "brute":
+        vs = enumerate_vertices_bruteforce(args.n)
+    else:
+        vs = enumerate_vertices_dd(args.n)
+        brute = enumerate_vertices_bruteforce(args.n)
+        if vs.vertices != brute.vertices:
+            _emit(
+                {
+                    "error": "method disagreement",
+                    "dd_total": vs.total,
+                    "brute_total": brute.total,
+                }
+            )
+            return EXIT_CLAIM_FAILED
     _emit(vs.to_json())
     return EXIT_OK
 
@@ -182,12 +165,10 @@ def cmd_vertices(args) -> int:
 def cmd_check_vertex(args) -> int:
     try:
         tensor = tensor_from_json(_load_json(args.tensor_file))
-        # no system is built; 3n^2 x n^3 bounds rank_exact's M, at most (3n^2 - 3n + 1) x (n - 1)^3
-        _check_cap(3 * tensor.n**2 * tensor.n**3, "an equality system")
-    except ResourceCapExceeded as exc:
-        return _fail(str(exc), EXIT_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if tensor.n > CHECK_VERTEX_MAX_N:
+        raise ResourceCapExceeded(f"check-vertex is capped at n <= {CHECK_VERTEX_MAX_N}")
     cert = is_vertex(tensor)
     _emit(cert.to_json())
     if cert.verdict == "vertex":
@@ -202,7 +183,7 @@ def cmd_membership(args) -> int:
         tensor = tensor_from_json(_load_json(args.tensor_file))
         if args.generators == "latin":
             if tensor.n > HULL_LATIN_MAX_N:
-                return _fail(f"built-in generators need n <= {HULL_LATIN_MAX_N}", EXIT_CAP)
+                raise ResourceCapExceeded(f"built-in generators need n <= {HULL_LATIN_MAX_N}")
             generators = [latin_to_tensor(s) for s in enumerate_latin_squares(tensor.n)]
         else:
             raw = _load_json(args.generators)
@@ -212,11 +193,13 @@ def cmd_membership(args) -> int:
             # for the weight sum) and the objective, by one column per
             # generator, one artificial per row and the right-hand side
             m = tensor.n**3 + 1
-            _check_cap((m + 1) * (len(raw) + m + 1), "a membership LP tableau")
+            cells = (m + 1) * (len(raw) + m + 1)
+            if cells > MEMBERSHIP_MAX_CELLS:
+                raise ResourceCapExceeded(
+                    f"a membership LP tableau of {cells} cells exceeds the cap of {MEMBERSHIP_MAX_CELLS}"
+                )
             generators = [tensor_from_json(obj) for obj in raw]
         result = in_permutation_hull(tensor, generators)
-    except ResourceCapExceeded as exc:
-        return _fail(str(exc), EXIT_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     _emit(result.to_json())
@@ -224,14 +207,10 @@ def cmd_membership(args) -> int:
 
 
 def cmd_latin(args) -> int:
-    try:
-        if args.list:
-            squares = enumerate_latin_squares(args.n)
-            _emit([latin_to_json(s) for s in squares])
-        else:
-            print(count_latin_squares(args.n))
-    except ResourceCapExceeded as exc:
-        return _fail(str(exc), EXIT_CAP)
+    if args.list:
+        _emit([latin_to_json(s) for s in enumerate_latin_squares(args.n)])
+    else:
+        print(count_latin_squares(args.n))
     return EXIT_OK
 
 
@@ -242,6 +221,8 @@ def cmd_decompose(args) -> int:
         return _fail(str(exc), EXIT_NOT_DOUBLY_STOCHASTIC)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if matrix.n > DECOMPOSE_MAX_N:
+        raise ResourceCapExceeded(f"decompose is capped at n <= {DECOMPOSE_MAX_N}")
     result = decompose(matrix)
     bound = matrix.n**2 - 2 * matrix.n + 2
     _emit(
@@ -259,9 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stochpoly",
         description=__doc__.splitlines()[0],
-        epilog="STOCHPOLY_MAX_CELLS caps enumeration work (candidate active sets / "
-        "intermediate rays), the cells of check-vertex's equality system and of the "
-        "simplex tableau of a membership LP over a generator file; default 4000000.",
+        epilog=f"Work limits, each checked before any work (exit 3): vertices n <= {VERTICES_MAX_N}, "
+        f"check-vertex n <= {CHECK_VERTEX_MAX_N}, membership n <= {HULL_LATIN_MAX_N} with the "
+        f"built-in generators and at most {MEMBERSHIP_MAX_CELLS} simplex tableau cells with a "
+        f"generator file, latin n <= {LATIN_MAX_N}, decompose n <= {DECOMPOSE_MAX_N}, "
+        f"bounds n <= {BOUNDS_MAX_N}.",
     )
     parser.add_argument("--version", action="version", version=f"stochpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,7 +295,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if getattr(args, "n", 1) < 1:  # the n of bounds, vertices and latin
         return _fail("n must be >= 1", EXIT_USAGE)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ResourceCapExceeded as exc:  # raised by every work limit before its work
+        return _fail(str(exc), EXIT_CAP)
 
 
 if __name__ == "__main__":

@@ -16,10 +16,9 @@ count is assumed from outside.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -35,41 +34,47 @@ __all__ = [
     "enumerate_vertices_dd",
     "LATIN_MAX_N",
     "HULL_LATIN_MAX_N",
-    "BRUTE_MAX_N",
+    "VERTICES_MAX_N",
     "BOUNDS_MAX_N",
+    "CHECK_VERTEX_MAX_N",
+    "MEMBERSHIP_MAX_CELLS",
+    "DECOMPOSE_MAX_N",
 ]
 
-CAP_ENV = "STOCHPOLY_MAX_CELLS"
+# Work limits. Each is compared with n, or with a cell count computed from
+# the input's size, before any work starts; a refusal raises
+# ResourceCapExceeded (exit 3 on the command line). Times are single runs on
+# a 2-vCPU Intel Xeon VM, Python 3.11.
 
-#: hard practical ceilings; above these the work explodes combinatorially
+#: Latin square enumeration and counting: listing the 161 280 squares of
+#: order 5 takes about 3 s; L(6) is past 800 million
 LATIN_MAX_N = 5
-#: hull membership against every Latin tensor: at n = 5 that is 161 280
-#: generators and a dense 126 x 161 407 tableau
+#: hull membership against every Latin tensor: the uniform tensor of order 4
+#: against 576 takes about 15 s; at n = 5 that is 161 280 generators and a
+#: dense 126 x 161 407 tableau
 HULL_LATIN_MAX_N = 4
-BRUTE_MAX_N = 3
-#: ceiling for the bound chain, whose binomials have about n^3 digits:
-#: verify_chain(64) takes about 0.05 s, verify_chain over 2..64 about
-#: 0.75-0.95 s, and `bounds 2 --sweep 64 --format json` about 1.2-1.3 s with
-#: its output (best of 3; 2-vCPU Intel Xeon VM, Python 3.11)
+#: both vertex enumerations: at n = 3 the brute-force oracle tries 2 220 075
+#: candidate active sets in 3-4 minutes and double description holds at most
+#: 66 rays; at n = 4 double description never finished (a probe made 27 564
+#: rays in 11 of 36 insertions, each insertion about 7x the one before)
+VERTICES_MAX_N = 3
+#: the bound chain, whose binomials have about n^3 digits: verify_chain(64)
+#: takes about 0.05 s, verify_chain over 2..64 about 0.75-0.95 s, and
+#: `bounds 2 --sweep 64 --format json` about 1.2-1.3 s with its output (best of 3)
 BOUNDS_MAX_N = 64
-
-#: default work caps (candidate active sets / intermediate double
-#: description rays), overridable through STOCHPOLY_MAX_CELLS
-DEFAULT_MAX_CELLS = 4_000_000
+#: check-vertex: the cyclic Latin tensor of order 16 takes 0.5-1.0 s
+CHECK_VERTEX_MAX_N = 16
+#: cells of the phase-1 tableau of a membership LP over a generator file,
+#: (m + 1)(G + m + 1) for m = n^3 + 1 rows and G generators; near it a file
+#: took 21 s at n = 3 (137 902 generators) and 101 s at n = 4 (60 540)
+MEMBERSHIP_MAX_CELLS = 4_000_000
+#: Birkhoff decomposition: a random weighted sum of 4n permutation matrices
+#: takes about 1 s at n = 64 (3 842 terms), growing as about n^4
+DECOMPOSE_MAX_N = 64
 
 
 class ResourceCapExceeded(RuntimeError):
-    """The requested enumeration exceeds the configured work cap."""
-
-
-def _max_cells() -> int:
-    raw = os.environ.get(CAP_ENV)
-    if not raw:
-        return DEFAULT_MAX_CELLS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}")
+    """The input is over a work limit; raised before any work starts."""
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +207,9 @@ def enumerate_vertices_bruteforce(n: int) -> VertexSet:
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    if n > BRUTE_MAX_N:
-        raise ResourceCapExceeded(f"brute-force enumeration capped at n <= {BRUTE_MAX_N}")
+    if n > VERTICES_MAX_N:
+        raise ResourceCapExceeded(f"brute-force enumeration capped at n <= {VERTICES_MAX_N}")
     hp = build_lp_polytope(n)
-    cap = _max_cells()
-    candidates = comb(hp.num_vars, hp.rank)
-    if candidates > cap:
-        raise ResourceCapExceeded(
-            f"{candidates} candidate active sets exceed the cap of {cap} "
-            f"(raise {CAP_ENV} to override)"
-        )
     points: set[tuple[Fraction, ...]] = set()
     for den, nums in _kernels.basic_feasible_solutions(hp.rows, hp.rank):
         points.add(tuple(Fraction(v, den) for v in nums))
@@ -257,14 +255,13 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
     direction has zero line sums. Unless ``insertion_order`` pins the
     constraint order (the result is order-independent), remaining
     constraints are inserted greedily, fewest-cut-rays first.
-    ``STOCHPOLY_MAX_CELLS`` caps the intermediate ray count. n = 4 is
-    accepted but can be very expensive; expect to need a generous cap.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
+    if n > VERTICES_MAX_N:
+        raise ResourceCapExceeded(f"double description capped at n <= {VERTICES_MAX_N}")
     if n == 1:
         return _vertex_set(1, {(Fraction(1),)})
-    cap = _max_cells()
     rows = _homogeneous_rows(n)
     dim = (n - 1) ** 3 + 1
 
@@ -301,7 +298,6 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
         pos = [r for r in rays if r[0][cut] > 0]
         neg = [r for r in rays if r[0][cut] < 0]
         zero = [r for r in rays if r[0][cut] == 0]
-        kept = len(pos) + len(zero)
         new_rays: set[tuple[tuple[int, ...], int]] = set()
         for p, mp in pos:
             dp = p[cut]
@@ -315,11 +311,6 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
                     continue
                 dq = q[cut]
                 new_rays.add(_ray([dp * b - dq * a for a, b in zip(p, q)]))
-                if kept + len(new_rays) > cap:
-                    raise ResourceCapExceeded(
-                        f"double description intermediate ray count {kept + len(new_rays)} "
-                        f"exceeds the cap of {cap} (raise {CAP_ENV} to override)"
-                    )
         rays = pos + zero + sorted(new_rays)
         processed |= 1 << cut
 

@@ -1,13 +1,24 @@
+import ast
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from stochpoly import cli, lp
+import stochpoly
+from stochpoly import cli, enumeration, lp
 from stochpoly.birkhoff import DoublyStochasticMatrix, matrix_to_json
 from stochpoly.bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt
 from stochpoly.cli import main
-from stochpoly.enumeration import BOUNDS_MAX_N, HULL_LATIN_MAX_N, enumerate_latin_squares
+from stochpoly.enumeration import (
+    BOUNDS_MAX_N,
+    CHECK_VERTEX_MAX_N,
+    DECOMPOSE_MAX_N,
+    HULL_LATIN_MAX_N,
+    MEMBERSHIP_MAX_CELLS,
+    VERTICES_MAX_N,
+    enumerate_latin_squares,
+)
 from stochpoly.numerics import parse_rational
 from stochpoly.tensor import latin_to_tensor, tensor_to_json, uniform_tensor
 
@@ -319,49 +330,91 @@ def test_membership_generator_file_cap_is_checked_before_work(capsys, monkeypatc
     # 3 generator columns, m artificials and the right-hand side
     m = 3**3 + 1
     cells = (m + 1) * (3 + m + 1)
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells - 1))
+    monkeypatch.setattr(cli, "MEMBERSHIP_MAX_CELLS", cells - 1)
     code, out, err = run(capsys, "membership", str(target), "--generators", str(gens))
     assert (code, out) == (3, "")
     assert f"{cells} cells exceeds the cap of {cells - 1}" in err
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells))
+    monkeypatch.setattr(cli, "MEMBERSHIP_MAX_CELLS", cells)
     code, out, _ = run(capsys, "membership", str(target), "--generators", str(gens))
     assert (code, out) == (1, "")
-    # n = 16 with one generator: 4 098 x 4 099 tableau entries pass the default cap
-    monkeypatch.delenv("STOCHPOLY_MAX_CELLS")
+    # n = 16 with one generator, which does not parse: 4 098 x 4 099 tableau
+    # entries are over the limit
+    monkeypatch.setattr(cli, "MEMBERSHIP_MAX_CELLS", MEMBERSHIP_MAX_CELLS)
     big = tmp_path / "uniform16.json"
     big.write_text(json.dumps(tensor_to_json(uniform_tensor(16))))
-    gens.write_text(json.dumps([tensor_to_json(uniform_tensor(16))]))
+    gens.write_text(json.dumps(["not a tensor"]))
     code, out, err = run(capsys, "membership", str(big), "--generators", str(gens))
     assert (code, out) == (3, "")
-    assert f"{4098 * 4099} cells exceeds the cap of 4000000" in err
+    assert f"{4098 * 4099} cells exceeds the cap of {MEMBERSHIP_MAX_CELLS}" in err
+    assert MEMBERSHIP_MAX_CELLS == 4_000_000
 
 
 def test_check_vertex_cap_is_checked_before_work(capsys, monkeypatch, tmp_path, half_vertex):
     target = tmp_path / "half.json"
     target.write_text(json.dumps(tensor_to_json(half_vertex)))
-    cells = 3 * 3**2 * 3**3  # one equality row per line, one column per entry
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells))
     assert run(capsys, "check-vertex", str(target))[0] == 0
 
     def refuse(t):
-        raise AssertionError("is_vertex ran past the cap")
+        raise AssertionError(f"is_vertex ran at n = {t.n}")
 
     monkeypatch.setattr(cli, "is_vertex", refuse)
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", str(cells - 1))
-    code, out, err = run(capsys, "check-vertex", str(target))
-    assert (code, out) == (3, "")
-    assert f"{cells} cells exceeds the cap of {cells - 1}" in err
-    # under the default cap n = 16 passes (3 145 728 cells) and n = 17 does not
-    monkeypatch.delenv("STOCHPOLY_MAX_CELLS")
     big = tmp_path / "uniform16.json"
-    big.write_text(json.dumps(tensor_to_json(uniform_tensor(16))))
-    with pytest.raises(AssertionError, match="past the cap"):
+    big.write_text(json.dumps(tensor_to_json(uniform_tensor(CHECK_VERTEX_MAX_N))))
+    with pytest.raises(AssertionError, match="is_vertex ran at n = 16"):
         run(capsys, "check-vertex", str(big))
     big = tmp_path / "uniform17.json"
-    big.write_text(json.dumps(tensor_to_json(uniform_tensor(17))))
+    big.write_text(json.dumps(tensor_to_json(uniform_tensor(CHECK_VERTEX_MAX_N + 1))))
     code, out, err = run(capsys, "check-vertex", str(big))
     assert (code, out) == (3, "")
-    assert f"{3 * 17**5} cells exceeds the cap of 4000000" in err
+    assert f"n <= {CHECK_VERTEX_MAX_N}" in err
+    assert CHECK_VERTEX_MAX_N == 16
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("method", ["dd", "brute", "both"])
+def test_vertices_above_the_limit_exit_3_before_work(capsys, monkeypatch, n, method):
+    def refuse(n):
+        raise AssertionError(f"the line system of order {n} was built")
+
+    monkeypatch.setattr(enumeration, "build_lp_polytope", refuse)
+    code, out, err = run(capsys, "vertices", str(n), "--method", method)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and f"n <= {VERTICES_MAX_N}" in err
+    assert "warning" not in err
+
+
+def test_decompose_cap_is_checked_before_work(capsys, monkeypatch, tmp_path):
+    def refuse(matrix):
+        raise AssertionError(f"decompose ran at n = {matrix.n}")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
+    path = tmp_path / "uniform.json"
+    n = DECOMPOSE_MAX_N
+    path.write_text(json.dumps({"n": n, "rows": [[f"1/{n}"] * n] * n}))
+    with pytest.raises(AssertionError, match=f"decompose ran at n = {n}"):
+        run(capsys, "decompose", str(path))
+    n = DECOMPOSE_MAX_N + 1
+    path.write_text(json.dumps({"n": n, "rows": [[f"1/{n}"] * n] * n}))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, out) == (3, "")
+    assert f"n <= {DECOMPOSE_MAX_N}" in err
+    assert DECOMPOSE_MAX_N == 64
+
+
+def test_no_module_reads_the_environment():
+    """Every work limit is a module constant: no module of the package reads
+    an environment variable."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    package = pathlib.Path(stochpoly.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in names, f"{path.name}:{node.lineno} reads os.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                read = names & {alias.name for alias in node.names}
+                assert not read, f"{path.name}:{node.lineno} imports {read} from os"
 
 
 def test_oversized_exponent_exits_1(capsys, tmp_path):
@@ -418,20 +471,3 @@ def test_deeply_nested_json_exits_1(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "recursion" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("cap", ["abc", "1e3"])
-def test_malformed_cap_exits_1(capsys, monkeypatch, tmp_path, cap):
-    target = tmp_path / "uniform2.json"
-    target.write_text(json.dumps(tensor_to_json(uniform_tensor(2))))
-    gens = tmp_path / "gens.json"
-    gens.write_text(json.dumps([tensor_to_json(uniform_tensor(2))]))
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", cap)
-    for argv in (
-        ("vertices", "2"),
-        ("check-vertex", str(target)),
-        ("membership", str(target), "--generators", str(gens)),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, ""), argv
-        assert f"STOCHPOLY_MAX_CELLS must be an integer, got {cap!r}" in err

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+from stochpoly import enumeration
 from stochpoly.enumeration import (
+    VERTICES_MAX_N,
     ResourceCapExceeded,
     count_latin_squares,
     enumerate_latin_squares,
@@ -110,27 +112,20 @@ def test_vertex_set_json(dd3):
     assert obj["vertices"][0]["n"] == 3
 
 
-def test_brute_force_caps(monkeypatch):
-    with pytest.raises(ResourceCapExceeded):
+def test_brute_force_caps():
+    with pytest.raises(ResourceCapExceeded, match=rf"n <= {VERTICES_MAX_N}"):
         enumerate_vertices_bruteforce(4)
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", "1000")
-    with pytest.raises(ResourceCapExceeded):
-        enumerate_vertices_bruteforce(3)
+    assert VERTICES_MAX_N == 3
 
 
 def test_dd_cap(monkeypatch):
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", "3")
-    with pytest.raises(ResourceCapExceeded):
-        enumerate_vertices_dd(3)
+    def refuse(n):
+        raise AssertionError(f"double description built its rows at n = {n}")
 
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", "5")  # n=2 has C(8,7) = 8 candidates
-    with pytest.raises(ResourceCapExceeded):
-        enumerate_vertices_bruteforce(2)
-    monkeypatch.setenv("STOCHPOLY_MAX_CELLS", "not-a-number")
-    with pytest.raises(ValueError):
-        enumerate_vertices_bruteforce(2)
+    monkeypatch.setattr(enumeration, "_homogeneous_rows", refuse)
+    for n in (4, 5):
+        with pytest.raises(ResourceCapExceeded, match=rf"n <= {VERTICES_MAX_N}"):
+            enumerate_vertices_dd(n)
 
 
 def test_latin_count_sandwiched_by_vertex_count_and_upper_bound(dd3):
