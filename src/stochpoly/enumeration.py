@@ -51,7 +51,7 @@ __all__ = [
 LATIN_MAX_N = 5
 #: hull membership against every Latin tensor: the uniform tensor of order 4
 #: against 576 takes about 15 s; at n = 5 that is 161 280 generators and a
-#: dense 126 x 161 407 tableau
+#: dense 126 x 161 407 tableau (an inherited value, not set from this cost)
 HULL_LATIN_MAX_N = 4
 #: both vertex enumerations: at n = 3 the brute-force oracle tries 2 220 075
 #: candidate active sets in 3-4 minutes and double description holds at most
@@ -67,6 +67,7 @@ CHECK_VERTEX_MAX_N = 16
 #: cells of the phase-1 tableau of a membership LP over a generator file,
 #: (m + 1)(G + m + 1) for m = n^3 + 1 rows and G generators; near it a file
 #: took 21 s at n = 3 (137 902 generators) and 101 s at n = 4 (60 540)
+#: (an inherited value, not set from this cost)
 MEMBERSHIP_MAX_CELLS = 4_000_000
 #: Birkhoff decomposition: a random weighted sum of 4n permutation matrices
 #: takes about 1 s at n = 64 (3 842 terms), growing as about n^4

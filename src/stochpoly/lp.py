@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Optional, Sequence
 
 from ._kernels import pivot
@@ -175,20 +174,6 @@ def verify_farkas(problem: LPProblem, y: Sequence[Fraction]) -> bool:
     return sum(map(operator.mul, ys, common_scale(problem.rhs)[1])) < 0
 
 
-def _is_permutation_tensor(g: Tensor3) -> bool:
-    """Does ``tensor_to_latin`` accept g? Exactly when every entry is the
-    integer 0 or 1, n^2 entries are 1, and their (i, j), (i, k) and (j, k)
-    index pairs are each n^2 distinct pairs: one symbol per cell, once in
-    every row and every column."""
-    n, flat = g.n, g.flatten()
-    nums = [v.numerator for v in flat]
-    if [v.denominator for v in flat].count(1) != len(flat) or nums.count(0) + nums.count(1) != len(flat):
-        return False
-    ones = list(compress(range(len(flat)), nums))  # flat index (i * n + j) * n + k
-    pairs = ({c // n for c in ones}, {c // n**2 * n + c % n for c in ones}, {c % n**2 for c in ones})
-    return len(ones) == n * n and all(len(p) == n * n for p in pairs)
-
-
 def membership_problem(t: Tensor3, generators: Sequence[Tensor3]) -> LPProblem:
     """The (n^3 + 1)-row system for hull membership: one row per tensor
     entry matching sum(weight_g * G[entry]) to t[entry], plus the weights
@@ -198,13 +183,10 @@ def membership_problem(t: Tensor3, generators: Sequence[Tensor3]) -> LPProblem:
     for g in generators:
         if g.n != t.n:
             raise ValueError("generator dimension mismatch")
-        if not _is_permutation_tensor(g):
-            # the slow path names the first fault
-            try:
-                tensor_to_latin(g)
-            except ValueError as exc:
-                raise ValueError(f"generators must be permutation tensors: {exc}") from exc
-            raise AssertionError("tensor_to_latin accepts a tensor that the permutation check refuses")
+        try:
+            tensor_to_latin(g)
+        except ValueError as exc:
+            raise ValueError(f"generators must be permutation tensors: {exc}") from exc
     matrix = [*zip(*(g.flatten() for g in generators)), [Fraction(1)] * len(generators)]
     return LPProblem.build(matrix, [*t.flatten(), Fraction(1)])
 

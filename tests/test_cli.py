@@ -108,10 +108,21 @@ def test_vertices_dd_n3(capsys):
     assert payload["zero_one"] == 12
 
 
-def test_vertices_cap(capsys):
-    code, _, err = run(capsys, "vertices", "4", "--method", "brute")
-    assert code == 3
-    assert "cap" in err.lower() or "exceed" in err.lower()
+def test_vertices_cap(capsys, monkeypatch):
+    """Every method refuses n = 4, 5 and 6 with exit 3 before the line
+    system is built: empty stdout and no warning."""
+
+    def refuse(n):
+        raise AssertionError(f"the line system of order {n} was built")
+
+    monkeypatch.setattr(enumeration, "build_lp_polytope", refuse)
+    for n in (4, 5, 6):
+        for method in ("dd", "brute", "both"):
+            code, out, err = run(capsys, "vertices", str(n), "--method", method)
+            assert (code, out) == (3, ""), (n, method)
+            assert err.startswith("error: ") and f"n <= {VERTICES_MAX_N}" in err
+            assert "cap" in err.lower() or "exceed" in err.lower()
+            assert "warning" not in err
 
 
 def test_vertices_deterministic_output(capsys):
@@ -368,19 +379,6 @@ def test_check_vertex_cap_is_checked_before_work(capsys, monkeypatch, tmp_path, 
     assert (code, out) == (3, "")
     assert f"n <= {CHECK_VERTEX_MAX_N}" in err
     assert CHECK_VERTEX_MAX_N == 16
-
-
-@pytest.mark.parametrize("n", [4, 5, 6])
-@pytest.mark.parametrize("method", ["dd", "brute", "both"])
-def test_vertices_above_the_limit_exit_3_before_work(capsys, monkeypatch, n, method):
-    def refuse(n):
-        raise AssertionError(f"the line system of order {n} was built")
-
-    monkeypatch.setattr(enumeration, "build_lp_polytope", refuse)
-    code, out, err = run(capsys, "vertices", str(n), "--method", method)
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and f"n <= {VERTICES_MAX_N}" in err
-    assert "warning" not in err
 
 
 def test_decompose_cap_is_checked_before_work(capsys, monkeypatch, tmp_path):

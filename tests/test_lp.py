@@ -23,11 +23,8 @@ from stochpoly.lp import (
 )
 from stochpoly.tensor import (
     LatinSquare,
-    Tensor3,
     convex_combine,
-    flatten_index,
     latin_to_tensor,
-    tensor_to_latin,
     uniform_tensor,
 )
 
@@ -95,67 +92,6 @@ def test_generator_validation(half_vertex, latin3_tensors, zero_one_not_latin):
     for bad, message in zero_one_not_latin:  # (0,1) but not line-stochastic
         with pytest.raises(ValueError, match=rf"permutation tensors: {re.escape(message)}"):
             in_permutation_hull(half_vertex, [*latin3_tensors, bad])
-
-
-def _latin_accepts(t):
-    try:
-        tensor_to_latin(t)
-    except ValueError:
-        return False
-    return True
-
-
-def test_permutation_check_accepts_every_order_4_latin_tensor():
-    tensors = [latin_to_tensor(s) for s in enumerate_latin_squares(4)]
-    assert len(tensors) == 576
-    assert all(lp._is_permutation_tensor(t) and _latin_accepts(t) for t in tensors)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_permutation_check_agrees_with_tensor_to_latin(n):
-    """Random 0/1 tensors, tensors with one 1 on every line along two axes
-    but not always along the third, permutation tensors with one 1 moved or
-    one entry flipped, and fractional or out-of-range entries: the integer
-    check accepts exactly what ``tensor_to_latin`` accepts."""
-    rng = random.Random(n)
-    perms = [list(latin_to_tensor(s).flatten()) for s in enumerate_latin_squares(n)]
-    size = n**3
-    verdicts = set()
-    for trial in range(600):
-        form = trial % 6
-        if form == 0:
-            flat = [int(rng.random() < 1 / n) for _ in range(size)]
-        elif form == 5:  # (p, q, sigma_q(p)) on shuffled axes, sigma_q random permutations
-            axes = rng.sample(range(3), 3)
-            flat = [0] * size
-            for q in range(n):
-                for p, v in enumerate(rng.sample(range(n), n)):
-                    idx = [0] * 3
-                    idx[axes[0]], idx[axes[1]], idx[axes[2]] = p, q, v
-                    flat[flatten_index(n, *idx)] = 1
-        else:
-            flat = list(rng.choice(perms))
-            ones = [c for c, v in enumerate(flat) if v]
-            zeros = [c for c, v in enumerate(flat) if not v]
-            if form == 1 and zeros:  # one 1 moved: still n^2 ones
-                flat[rng.choice(ones)], flat[rng.choice(zeros)] = 0, 1
-            elif form == 2:  # one entry flipped
-                c = rng.randrange(size)
-                flat[c] = 1 - flat[c]
-            elif form == 3:  # one entry fractional, negative or 2
-                flat[rng.randrange(size)] = rng.choice([Fraction(1, 2), Fraction(3, 2), -1, 2, Fraction(-1, 3)])
-            # form 4: a permutation tensor as it is
-        t = Tensor3.from_flat(n, flat)
-        verdict = lp._is_permutation_tensor(t)
-        assert verdict == _latin_accepts(t), flat
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
-def test_a_check_that_disagrees_with_tensor_to_latin_is_an_error(monkeypatch, half_vertex, latin3_tensors):
-    monkeypatch.setattr(lp, "tensor_to_latin", lambda t: None)
-    with pytest.raises(AssertionError, match="permutation check refuses"):
-        lp.membership_problem(half_vertex, [*latin3_tensors, uniform_tensor(3)])
 
 
 def test_bland_terminates_on_degenerate_duplicated_rows():
