@@ -7,18 +7,28 @@ and the brute-force vertex oracle.
 ``enumeration`` and the integer simplex tableau in ``lp``.
 
 The brute-force vertex oracle solves one exact linear system per candidate
-active set: C(n^3, 3n^2-3n+1) systems, about 2.2 million at n = 3. It runs
-fraction-free Gauss-Jordan elimination vectorized over batches of subsets
-with numpy int64 arithmetic, which is exact on a 0/1 system of rank r <= 21.
-Every entry of the elimination is a minor of order at most k = r + 1 of the
-0/1 matrix [A_F | 1], and bordering a 0/1 matrix of order k to a +-1 matrix
-of order k + 1 and applying Hadamard's inequality bounds such a minor by
-M = (k+1)^((k+1)/2) / 2^k (Brenner & Cummings 1972). A step forms
+active set: C(n^3, 3n^2-3n+1) systems, about 2.2 million at n = 3. Once per
+call it picks a row basis R of A (the pivot columns of one ``reduce`` of
+A^T) and checks that [A | 1] has the same rank; otherwise A x = 1 has no
+solution at all. Every other row of [A | 1] is then a combination of the
+rows R, so for a free-column subset F the system A_F x = 1 has a unique
+solution exactly when the square matrix A_{R,F} is nonsingular, and that
+solution is the one of A_{R,F} x = 1: no subset needs its own consistency
+test. The square systems are solved by fraction-free Gauss-Jordan
+elimination vectorized over batches of subsets. Each step rewrites only the
+columns right of the pivot, as the earlier pivot columns are never read
+again, and a subset whose pivot column has no nonzero entry left is singular
+and leaves the batch. The arithmetic is numpy int64, which is exact on a
+0/1 system of rank r <= 21. Every entry of the elimination is a minor of
+order at most k = r + 1 of the 0/1 matrix [A_{R,F} | 1], which is a
+submatrix of [A_F | 1], and bordering a 0/1 matrix of order k to a +-1
+matrix of order k + 1 and applying Hadamard's inequality bounds such a minor
+by M = (k+1)^((k+1)/2) / 2^k (Brenner & Cummings 1972). A step forms
 pk * x - f * y from four such entries, at most 2 M^2 in absolute value, and
 2 M^2 < 2^63 is 2 (r+2)^(r+2) < 2^63 4^(r+1): true for r <= 21, where M is
 7.3 * 10^7 at r = 19 (n = 3). ``basic_feasible_solutions`` checks the 0/1
-entries and this inequality once, before the first batch, and refuses any
-other input.
+entries, this inequality and that ``rank`` is the rank of A once, before the
+first batch, and refuses any other input.
 """
 from __future__ import annotations
 
@@ -29,10 +39,11 @@ from typing import Sequence
 
 import numpy as np
 
-# candidate subsets eliminated together in one numpy batch; on the first
-# 200 000 subsets of the n = 3 system 1024 took 15.5-15.8 s against 19.2-20.2 s
-# for 8192, with the same solutions
-_BATCH = 1024
+# candidate subsets eliminated together in one numpy batch; on slices of
+# 100 000 subsets of the n = 3 system at offsets 0, 1 M and 2 M, batches of
+# 128 to 1024 all took 4.3-4.8 s a slice, so the smaller arrays: 256 systems
+# of 19 x 20 int64 entries, 0.8 MB
+_BATCH = 256
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
@@ -144,8 +155,9 @@ def basic_feasible_solutions(
 
     Returns a sorted list of (den, numerators) pairs: the solution vector is
     numerators/den with den > 0 and gcd(den, *numerators) = 1. Raises
-    ValueError unless A is a 0/1 matrix and ``rank`` is at most 21, the
-    range in which the int64 elimination is exact (module docstring).
+    ValueError unless A is a 0/1 matrix, ``rank`` is at most 21, the range
+    in which the int64 elimination is exact (module docstring), and ``rank``
+    is the rank of A.
     """
     a = np.asarray(a_rows, dtype=np.int64)
     if not ((a == 0) | (a == 1)).all():
@@ -153,13 +165,19 @@ def basic_feasible_solutions(
     rank = operator.index(rank)  # a Python int, so the test below is exact
     if 2 * (rank + 2) ** (rank + 2) >= 2**63 * 4 ** (rank + 1):
         raise ValueError(f"rank {rank} is past the int64 range of the oracle (at most 21)")
+    basis, _ = reduce(a.T.tolist())
+    if len(basis) != rank:
+        raise ValueError(f"rank {rank} given for a system of rank {len(basis)}")
+    if rank_int([row + [1] for row in a.tolist()]) != rank:
+        return []  # 1 is outside the column space of A: A x = 1 has no solution
     nc = a.shape[1]
+    a_basis = a[basis]
     combos = itertools.combinations(range(nc), rank)
     if subset_limit is not None:
         combos = itertools.islice(combos, subset_limit)
     out: set[tuple[int, tuple[int, ...]]] = set()
     while chunk := list(itertools.islice(combos, _BATCH)):
-        for free, den, nums in _solve_batch(a, chunk, rank):
+        for free, den, nums in _solve_batch(a_basis, chunk, rank):
             out.add(_canonical(nc, free, den, nums))
     return sorted(out)
 
@@ -183,47 +201,37 @@ def _canonical(
 def _solve_batch(
     a: np.ndarray, chunk: list, r: int
 ) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """(free_cols, den, numerators) for every subset in ``chunk`` whose
-    restricted system has a unique nonnegative solution."""
-    m = a.shape[0]
-    nb = len(chunk)
-    fsel = np.array(chunk, dtype=np.int64)
-    mat = np.empty((nb, m, r + 1), dtype=np.int64)
-    mat[:, :, :r] = a[:, fsel].transpose(1, 0, 2)
+    """(free_cols, den, numerators) for every subset F in ``chunk`` whose
+    square system [A_F | 1] is nonsingular and has a nonnegative solution;
+    the r rows of ``a`` are a row basis of a consistent system."""
+    mat = np.empty((len(chunk), r, r + 1), dtype=np.int64)
+    mat[:, :, :r] = a[:, np.array(chunk, dtype=np.int64)].transpose(1, 0, 2)
     mat[:, :, r] = 1
-    alive = np.ones(nb, dtype=bool)
-    prev = np.ones(nb, dtype=np.int64)
-    rows = np.arange(nb)
+    prev = np.ones(len(chunk), dtype=np.int64)
+    alive = np.arange(len(chunk))  # the positions in chunk of the systems in mat
     for col in range(r):
         nz = mat[:, col:, col] != 0
         has = nz.any(axis=1)
-        died = alive & ~has
-        if died.any():
-            mat[died] = 0
-        alive &= has
+        if not has.all():
+            # no pivot left: A_F is singular and the subset leaves the batch
+            mat, nz, prev, alive = mat[has], nz[has], prev[has], alive[has]
+        # the columns left of col hold earlier pivots and are never read again
+        live = mat[:, :, col:]
+        rows = np.arange(len(alive))
         piv = col + np.argmax(nz, axis=1)
-        piv[~alive] = col
-        tmp = mat[rows, piv, :].copy()
-        mat[rows, piv, :] = mat[rows, col, :]
-        mat[rows, col, :] = tmp
-        pk = mat[:, col, col].copy()
-        pk[~alive] = 1
-        top = mat[:, col, :].copy()
-        mult = mat[:, :, col].copy()
-        mat *= pk[:, None, None]
-        mat -= mult[:, :, None] * top[:, None, :]
-        mat //= prev[:, None, None]
-        mat[:, col, :] = top
+        top = live[rows, piv]
+        live[rows, piv] = live[:, col]
+        live[:, col] = top
+        pk = top[:, 0]
+        rest = live[:, :, 1:]
+        rest *= pk[:, None, None]
+        rest -= live[:, :, :1] * top[:, None, 1:]
+        rest //= prev[:, None, None]
+        live[:, col, 1:] = top[:, 1:]
         prev = pk
-    if m > r:
-        consistent = (mat[:, r:, r] == 0).all(axis=1)
-    else:
-        consistent = np.ones(nb, dtype=bool)
-    den = prev
-    nums = mat[:, :r, r]
-    feasible = np.where(den[:, None] > 0, nums >= 0, nums <= 0).all(axis=1)
-    good = alive & consistent & feasible
+    nums = mat[:, :, r]
+    feasible = np.where(prev[:, None] > 0, nums >= 0, nums <= 0).all(axis=1)
     return [
-        (chunk[b], int(den[b]), tuple(int(v) for v in nums[b]))
-        for b in np.nonzero(good)[0]
+        (chunk[alive[b]], int(prev[b]), tuple(nums[b].tolist()))
+        for b in np.nonzero(feasible)[0]
     ]

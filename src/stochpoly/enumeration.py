@@ -54,7 +54,7 @@ LATIN_MAX_N = 5
 #: dense 126 x 161 407 tableau (an inherited value, not set from this cost)
 HULL_LATIN_MAX_N = 4
 #: both vertex enumerations: at n = 3 the brute-force oracle tries 2 220 075
-#: candidate active sets in 3-4 minutes and double description holds at most
+#: candidate active sets in about 100 s and double description holds at most
 #: 66 rays; at n = 4 double description never finished (a probe made 27 564
 #: rays in 11 of 36 insertions, each insertion about 7x the one before)
 VERTICES_MAX_N = 3

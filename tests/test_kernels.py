@@ -207,11 +207,15 @@ def _canonical_point(nc, free, xs):
     return den, tuple(full)
 
 
-@pytest.mark.parametrize("limit", [0, 1, 1024])
+@pytest.mark.parametrize(
+    "limit", [0, 1, _kernels._BATCH - 1, _kernels._BATCH, _kernels._BATCH + 1, 1000, 1024]
+)
 def test_subset_limit_is_a_lexicographic_prefix(limit):
     # the oracle's resource cap stops after the first `limit` candidate
     # subsets; this column shuffle makes the very first subset solvable and
-    # the second not, so an off-by-one in the prefix shows at limit 1
+    # the second not, so an off-by-one in the prefix shows at limit 1, and
+    # the limits around _BATCH end just before, on and just after the end of
+    # the first chunk
     hp = build_lp_polytope(3)
     perm = list(range(hp.num_vars))
     random.Random(2037).shuffle(perm)
@@ -228,16 +232,47 @@ def test_subset_limit_is_a_lexicographic_prefix(limit):
     assert bool(got) == (limit > 0)
 
 
+def _dependent_system(rng):
+    """A random 0/1 system with dependent rows: a duplicated row, the sum of
+    two rows with disjoint supports (which makes A x = 1 inconsistent, as
+    its right-hand side would be 2), or the union v + w - (v and w) of two
+    rows together with their intersection (dependent, and consistent when
+    the rest is)."""
+    nc = rng.randrange(3, 8)
+    a = [[rng.randrange(0, 2) for _ in range(nc)] for _ in range(rng.randrange(1, 5))]
+    kind = rng.choice(("duplicate", "sum", "union"))
+    if kind == "duplicate":
+        a.append(list(rng.choice(a)))
+    else:
+        cols = list(range(nc))
+        rng.shuffle(cols)
+        k = rng.randrange(1, nc)
+        v = [int(c in cols[:k]) for c in range(nc)]
+        if kind == "sum":
+            w = [int(c in cols[k:]) for c in range(nc)]
+            a += [v, w, [x + y for x, y in zip(v, w)]]
+        else:
+            w = [int(c in cols[k // 2 :]) for c in range(nc)]
+            a += [v, w, [x & y for x, y in zip(v, w)], [x | y for x, y in zip(v, w)]]
+    rng.shuffle(a)
+    return a
+
+
 def test_bfs_on_random_systems_matches_fraction_solve():
+    """The oracle against its definition, the union of the Fraction solves
+    over all rank-subsets, on random 0/1 systems and on systems built with
+    dependent rows, some of them inconsistent."""
     rng = random.Random(4242)
-    checked = 0
+    systems = []
     for _ in range(40):
         m = rng.randrange(2, 8)
         nc = rng.randrange(2, 8)
-        a = [[rng.randrange(0, 2) for _ in range(nc)] for _ in range(m)]
+        systems.append([[rng.randrange(0, 2) for _ in range(nc)] for _ in range(m)])
+    systems += [_dependent_system(rng) for _ in range(120)]
+    checked = dependent = inconsistent = 0
+    for a in systems:
         r = _kernels.rank_int(a)
-        if r == 0:
-            continue
+        nc = len(a[0])
         expected = set()
         for free in itertools.combinations(range(nc), r):
             xs = _fraction_solve(a, free)
@@ -245,7 +280,13 @@ def test_bfs_on_random_systems_matches_fraction_solve():
                 expected.add(_canonical_point(nc, free, xs))
         assert _kernels.basic_feasible_solutions(a, r) == sorted(expected)
         checked += bool(expected)
+        dependent += r < len(a)
+        if len(_fraction_rref([row + [1] for row in a], nc + 1)[0]) > r:
+            inconsistent += 1
+            assert not expected
     assert checked > 10
+    assert dependent >= 120
+    assert inconsistent >= 10
 
 
 def _identity(k):
@@ -273,45 +314,81 @@ def test_bfs_refuses_inputs_outside_the_int64_range(monkeypatch, rows, rank):
         _kernels.basic_feasible_solutions(rows, rank)
 
 
+@pytest.mark.parametrize("shift", [-1, 1], ids=["below", "above"])
+@pytest.mark.parametrize("system", ["n3", "square-lines"])
+def test_bfs_refuses_a_rank_that_is_not_the_rank_of_the_system(monkeypatch, system, shift):
+    # a rank below rank(A) would find only degenerate vertices and one above
+    # it none; the check comes before any batch is eliminated
+    if system == "n3":
+        hp = build_lp_polytope(3)
+        rows, rank = hp.rows, hp.rank
+    else:
+        # the row and column sums of a 2 x 2 matrix: rows 0 + 1 = rows 2 + 3
+        rows = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
+        rank = 3
+    assert _kernels.rank_int(rows) == rank
+    monkeypatch.setattr(_kernels, "_solve_batch", _refuse_batches)
+    with pytest.raises(ValueError, match="rank"):
+        _kernels.basic_feasible_solutions(rows, rank + shift)
+
+
 def test_bfs_accepts_rank_21():
     assert _kernels.basic_feasible_solutions(_identity(21), 21) == [(1, (1,) * 21)]
 
 
 def test_elimination_entries_stay_in_the_hadamard_bound():
-    """Replay the oracle's fraction-free Gauss-Jordan steps on [A_F | 1] for
-    random 19-subsets F of column-permuted n = 3 systems, in Python ints:
-    every entry is a 0/1 minor of order at most 20, so at most
-    floor(21^10.5 / 2^20), and every value pk * x - f * y formed before the
-    exact division stays below 2^63."""
+    """Replay the oracle's elimination in Python ints for random 19-subsets
+    F of column-permuted n = 3 systems: fraction-free Gauss-Jordan on the
+    square system [A_{R,F} | 1] for the row basis R, on the live columns
+    only. Every entry is a 0/1 minor of order at most 20, so at most
+    floor(21^10.5 / 2^20), every value pk * x - f * y formed before the
+    exact division stays below 2^63, and the replay's solutions are the
+    ones _solve_batch returns."""
     entry_bound = isqrt(21**21 // 4**20)
     hp = build_lp_polytope(3)
-    r, dense = hp.rank, hp.rows
+    r = hp.rank
     rng = random.Random(1972)
-    biggest = 0
+    biggest = dropped = solved = 0
     for _ in range(10):
         perm = list(range(hp.num_vars))
         rng.shuffle(perm)
-        rows = [[row[c] for c in perm] for row in dense]
-        for _ in range(20):
-            free = sorted(rng.sample(range(hp.num_vars), r))
-            m = [[row[c] for c in free] + [1] for row in rows]
+        rows = [[row[c] for c in perm] for row in hp.rows]
+        basis, _ = _kernels.reduce([list(col) for col in zip(*rows)])
+        assert len(basis) == r
+        chunk = [tuple(sorted(rng.sample(range(hp.num_vars), r))) for _ in range(20)]
+        replayed = []
+        for free in chunk:
+            m = [[rows[i][c] for c in free] + [1] for i in basis]
             prev = 1
             for col in range(r):
                 # the pivot choice of _solve_batch: the first nonzero entry at
                 # or below the diagonal, swapped up; a subset without one is
-                # not a basis and leaves the batch
-                piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+                # singular and leaves the batch
+                piv = next((i for i in range(col, r) if m[i][col]), None)
                 if piv is None:
+                    dropped += 1
                     break
                 m[col], m[piv] = m[piv], m[col]
                 top, pk = m[col], m[col][col]
-                pre = max(abs(pk * x - row[col] * y) for row in m for x, y in zip(row, top))
-                assert pre < 2**63
-                prev = _kernels.pivot(m, col, col, prev)
-                largest = max(abs(x) for row in m for x in row)
+                # only the columns right of the pivot are rewritten
+                for i, row in enumerate(m):
+                    if i != col:
+                        f = row[col]
+                        pre = [pk * x - f * y for x, y in zip(row[col + 1 :], top[col + 1 :])]
+                        assert all(abs(v) < 2**63 and v % prev == 0 for v in pre)
+                        row[col + 1 :] = [v // prev for v in pre]
+                prev = pk
+                largest = max(abs(x) for row in m for x in row[col + 1 :])
                 assert largest <= entry_bound
                 biggest = max(biggest, largest)
-    assert biggest > 1
+            else:
+                nums = tuple(row[r] for row in m)
+                if all(v * prev >= 0 for v in nums):
+                    replayed.append((free, prev, nums))
+        a_basis = np.array([rows[i] for i in basis], dtype=np.int64)
+        assert _kernels._solve_batch(a_basis, chunk, r) == replayed
+        solved += len(replayed)
+    assert biggest > 1 and dropped > 0 and solved > 0
 
 
 def test_solutions_satisfy_system():
@@ -325,7 +402,8 @@ def test_solutions_satisfy_system():
 
 
 def test_bfs_range_check_survives_optimize_flag():
-    # `python -O` strips assert statements; the range check must still run
+    # `python -O` strips assert statements; the range and rank checks must
+    # still run
     script = textwrap.dedent(
         """
         import sys
@@ -335,8 +413,14 @@ def test_bfs_range_check_survives_optimize_flag():
         try:
             basic_feasible_solutions([[1, 0, 2], [0, 1, 1]], 2)
         except ValueError:
+            pass
+        else:
+            sys.exit("an entry of 2 passed the range check")
+        try:
+            basic_feasible_solutions([[1, 0, 1], [0, 1, 1]], 1)
+        except ValueError:
             sys.exit(0)
-        sys.exit("an entry of 2 passed the range check")
+        sys.exit("rank 1 passed for a system of rank 2")
         """
     )
     src = str(Path(stochpoly.__file__).resolve().parents[1])
