@@ -1,13 +1,15 @@
 """Greedy Birkhoff decomposition of doubly stochastic matrices.
 
-Order 2 is the classical, well-behaved case: the doubly stochastic matrices
-form the convex hull of the permutation matrices, and the greedy algorithm
-below (repeatedly match the positive entries, subtract the smallest matched
-entry times that permutation) expresses any input as a convex combination of
-at most n^2 - 2n + 2 permutations, since each subtraction moves the
-remainder into a strictly lower-dimensional face. The order-3 tensor
-analogue of this decomposition does not exist, which is what the rest of
-this package is about.
+A doubly stochastic matrix is the line-stochastic tensor of order 2: its
+2n lines are its rows and columns, checked by the line scan of every order
+(``tensor``). It is the classical, well-behaved case: the doubly stochastic
+matrices form the convex hull of the n! permutation matrices, and the
+greedy algorithm below (repeatedly match the positive entries, subtract
+the smallest matched entry times that permutation) expresses any input as
+a convex combination of at most n^2 - 2n + 2 permutations, since each
+subtraction moves the remainder into a strictly lower-dimensional face.
+The order-3 tensor analogue of this decomposition does not exist, which is
+what the rest of this package is about.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numerics import common_scale, format_rational, json_int, parse_rational
+from .tensor import _first_violation
 
 __all__ = [
     "DoublyStochasticMatrix",
@@ -41,21 +44,19 @@ class DoublyStochasticMatrix:
         n = len(rows)
         if n == 0:
             raise ValueError("empty matrix")
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix is not square")
         grid = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
-        # each line is checked on its own integer scale; the sum in the
-        # message is formed only when the line fails
-        for i, row in enumerate(grid):
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            d, nums = common_scale(row)
-            if min(nums) < 0:
-                raise NotDoublyStochastic(f"negative entry in row {i + 1}")
-            if sum(nums) != d:
-                raise NotDoublyStochastic(f"row {i + 1} sums to {sum(row)}, not 1")
-        for j, column in enumerate(zip(*grid)):
-            d, nums = common_scale(column)
-            if sum(nums) != d:
-                raise NotDoublyStochastic(f"column {j + 1} sums to {sum(column)}, not 1")
+        # the order-2 lines: rows (axis 2) before columns, so a negative entry
+        # is reported on its row; a sum is formed only when its line fails
+        flat = [v for row in grid for v in row]
+        violation, nums = _first_violation(n, 2, flat)
+        if violation is not None:
+            (axis, (index,)), cells = violation
+            if min(nums[c] for c in cells) < 0:
+                raise NotDoublyStochastic(f"negative entry in row {index}")
+            line = "row" if axis == 2 else "column"
+            raise NotDoublyStochastic(f"{line} {index} sums to {sum(flat[c] for c in cells)}, not 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", grid)
 

@@ -22,7 +22,7 @@ from math import factorial, gcd
 from typing import Optional, Sequence
 
 from . import _kernels
-from .polytope import build_lp_polytope
+from .polytope import SparseVector, build_lp_polytope
 from .tensor import LatinSquare, Tensor3, lines, tensor_to_json
 
 __all__ = [
@@ -221,20 +221,6 @@ def enumerate_vertices_bruteforce(n: int) -> VertexSet:
 # Double description
 
 
-def _homogeneous_rows(n: int) -> list[tuple[int, ...]]:
-    """One halfspace row per tensor coordinate, over y = (s, t): the
-    coordinate value is (s + n * (N t)_v) / (n s), with N the far-corner
-    null basis that ``build_lp_polytope`` proves (one column per leading
-    cell, in flat order), so nonnegativity is the integer row (1, n*N_v)
-    applied to y."""
-    null = [vec for vec in build_lp_polytope(n).null_basis if vec]
-    rows = [[1] + [0] * len(null) for _ in range(n**3)]
-    for q, vec in enumerate(null, 1):
-        for v, s in vec:
-            rows[v][q] = n * s
-    return [tuple(row) for row in rows]
-
-
 def _ray(slack: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """A ray as its primitive integer slack vector, plus its zero set over
     all halfspaces as a bitmask."""
@@ -261,10 +247,22 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
         raise ValueError("dimension must be positive")
     if n > VERTICES_MAX_N:
         raise ResourceCapExceeded(f"double description capped at n <= {VERTICES_MAX_N}")
-    if n == 1:
-        return _vertex_set(1, {(Fraction(1),)})
-    rows = _homogeneous_rows(n)
-    dim = (n - 1) ** 3 + 1
+    _, line = next(lines(n))
+    return _vertex_set(n, _double_description(n, build_lp_polytope(n).null_basis, line, insertion_order))
+
+
+def _double_description(n: int, null_basis: Sequence[SparseVector], line: Sequence[int], insertion_order=None):
+    """The vertices, as a set of flat tuples, of the polytope of a line
+    system of dimension n, given its proved far-corner ``null_basis`` (one
+    entry per cell, a vector N_v per leading cell v) and the cells of one
+    ``line``. Over y = (s, t), cell v has value (s + n * (N t)_v) / (n s),
+    so its nonnegativity is the integer halfspace row (1, n*N_v)."""
+    null = [vec for vec in null_basis if vec]
+    rows = [[1] + [0] * len(null) for _ in null_basis]
+    for q, vec in enumerate(null, 1):
+        for v, s in vec:
+            rows[v][q] = n * s
+    dim = len(null) + 1
 
     # initial simplicial cone from the first maximal independent row subset:
     # Gauss-Jordan on the transposed rows pivots on exactly those rows and
@@ -278,14 +276,10 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
     rays = [_ray(s if d > 0 else [-x for x in s]) for s in slacks]
     processed = sum(1 << c for c in init)
 
-    if insertion_order is not None:
-        order = [i for i in insertion_order if i not in set(init)]
-        if sorted(order + init) != list(range(len(rows))):
-            raise ValueError("insertion_order must cover all constraint indices")
-        pending = order
-    else:
-        pending = None
     remaining = set(range(len(rows))) - set(init)
+    pending = None if insertion_order is None else [i for i in insertion_order if i not in init]
+    if pending is not None and sorted(pending) != sorted(remaining):
+        raise ValueError("insertion_order must cover all constraint indices")
 
     min_common = dim - 2  # adjacent rays share a face of dimension dim-1
     while remaining:
@@ -316,10 +310,9 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
         processed |= 1 << cut
 
     points: set[tuple[Fraction, ...]] = set()
-    _, line = next(lines(n))
     for s, _ in rays:
         line_sum = sum(s[c] for c in line)
         if line_sum <= 0:
             raise AssertionError("unbounded direction found in a bounded polytope")
         points.add(tuple(Fraction(x, line_sum) for x in s))
-    return _vertex_set(n, points)
+    return points

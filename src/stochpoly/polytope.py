@@ -1,30 +1,32 @@
 """H-representation of the line-stochastic tensor polytope and exact vertex
 certification.
 
-The polytope for dimension n lives in R^(n^3) (tensors flattened row-major)
-and is cut out by 3n^2 equality constraints A x = 1 (one per line, each row
-summing the n entries of that line to 1) together with nonnegativity. A
-feasible point is a vertex exactly when the constraint columns indexed by its
-support are linearly independent, which reduces vertex certification to an
-exact rank computation.
+The polytope of order d and dimension n lives in R^(n^d) (tensors flattened
+row-major) and is cut out by d n^(d-1) equality constraints A x = 1 (one per
+line, each row summing the n entries of that line to 1) together with
+nonnegativity; ``build_lp_polytope`` builds order 3, and the doubly
+stochastic matrices are order 2. A feasible point is a vertex exactly when
+the constraint columns indexed by its support are linearly independent,
+which reduces vertex certification to an exact rank computation.
 
 The rank is computed in the basis of the boundary columns. A cell is
-*boundary* when some index equals n - 1; there are 3n^2 - 3n + 1 of them,
-and the other (n - 1)^3 cells are *leading*. For a leading cell v = (i, j, k)
-the far-corner cube vector b_v has entry (-1)^(a+b+c) at
-(a ? n-1 : i, b ? n-1 : j, c ? n-1 : k) for a, b, c in {0, 1}: +1 on v, zero
-on every other leading cell, and seven entries +-1 on boundary cells.
+*boundary* when some index equals n - 1; there are n^d - (n - 1)^d of them,
+and the other (n - 1)^d cells are *leading*. For a leading cell v the
+far-corner cube vector b_v has entry (-1)^|a| at the cell that takes index
+n - 1 on the axes in a and v's index on the others, for each of the 2^d
+subsets a of the axes: +1 on v, zero on every other leading cell, and
+2^d - 1 entries +-1 on boundary cells.
 
-``build_lp_polytope`` proves once per n, without elimination, that the
-boundary columns are a basis of the column space of A:
+``_boundary_basis`` proves, without elimination, that the boundary columns
+of a line system are a basis of the column space of A:
 
 (a) the boundary columns peel away completely (repeatedly take a line that
     holds exactly one remaining boundary cell and remove that cell), so
-    they are independent and rank(A) >= 3n^2 - 3n + 1;
+    they are independent and rank(A) >= n^d - (n - 1)^d;
 (b) A b_v = 0 for every leading v, checked on the lines;
 (c) each b_v has a unit on its own leading cell and no other leading cell,
-    so the (n - 1)^3 vectors b_v are independent and rank(A) <= n^3 -
-    (n - 1)^3 = 3n^2 - 3n + 1.
+    so the (n - 1)^d vectors b_v are independent and rank(A) <= n^d -
+    (n - 1)^d.
 
 By (b), a leading column is A_v = -sum_u b_v[u] A_u over boundary u, so in
 the boundary basis the boundary columns of a support S are unit vectors.
@@ -33,14 +35,14 @@ With B the boundary cells and L the leading cells,
     rank(A_S) = |S & B| + rank(M),   M = b[B - S, S & L],
 
 the +-1 matrix of the far-corner vectors of the leading cells of S on the
-boundary cells outside S: one column per leading cell of S, at most seven
-nonzeros each, and no column of A is eliminated.
+boundary cells outside S: one column per leading cell of S, at most
+2^d - 1 nonzeros each, and no column of A is eliminated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -93,24 +95,27 @@ class HPolytope:
 def _boundary_basis(n: int, line_cells: Sequence[Sequence[int]]) -> tuple[int, tuple[SparseVector, ...]]:
     """Prove that the boundary columns of the line system of dimension n,
     given as each line's cells, are a basis of its column space, by checks
-    (a)-(c) of the module docstring, and return rank(A) = 3n^2 - 3n + 1 with
-    the far-corner null basis indexed by cell. Raises AssertionError (not
-    through ``assert``, so ``python -O`` keeps it) when a check fails."""
-    nv = n**3
+    (a)-(c) of the module docstring, and return rank(A) = n^d - (n - 1)^d
+    with the far-corner null basis by cell. The order d is the least with
+    d n^(d-1) >= len(line_cells); with fewer lines, a cell lies on fewer
+    than d. Raises AssertionError (not through ``assert``, so ``python -O``
+    keeps it) when a check fails."""
+    d = next(d for d in count(1) if d * n ** (d - 1) >= len(line_cells))
+    nv = n**d
     cell_lines: list[list[int]] = [[] for _ in range(nv)]
     for r, cells in enumerate(line_cells):
         if len(cells) != n or len(set(cells)) != n or min(cells) < 0 or max(cells) >= nv:
             raise AssertionError(f"line {r} does not have {n} distinct cells in range({nv})")
         for c in cells:
             cell_lines[c].append(r)
-    if any(len(ls) != 3 for ls in cell_lines):
-        raise AssertionError("a cell does not lie on exactly 3 lines")
+    if any(len(ls) != d for ls in cell_lines):
+        raise AssertionError(f"a cell does not lie on exactly {d} lines")
 
     top = n - 1
-    boundary = [top in ijk for ijk in product(range(n), repeat=3)]
+    boundary = [top in index for index in product(range(n), repeat=d)]
     rank = sum(boundary)
-    if rank != 3 * n * n - 3 * n + 1:
-        raise AssertionError(f"{rank} boundary cells, expected {3 * n * n - 3 * n + 1}")
+    if rank != nv - top**d:
+        raise AssertionError(f"{rank} boundary cells, expected {nv - top**d}")
 
     # (a) peel the boundary columns: a line holding exactly one remaining
     # boundary cell is a row where that column alone is nonzero
@@ -132,14 +137,14 @@ def _boundary_basis(n: int, line_cells: Sequence[Sequence[int]]) -> tuple[int, t
     if peeled != rank:
         raise AssertionError(f"only {peeled} of the {rank} boundary columns peel away")
 
-    corners = [(a, b, c, (-1) ** (a + b + c)) for a, b, c in product((0, 1), repeat=3)]
+    steps = [n**a for a in range(d)]  # the flat steps of the axes, last axis first
     basis: list[SparseVector] = [()] * nv
-    for i, j, k in product(range(top), repeat=3):
-        v = flatten_index(n, i, j, k)
-        vec = tuple(
-            (flatten_index(n, top if a else i, top if b else j, top if c else k), s)
-            for a, b, c, s in corners
-        )
+    for index in product(range(top), repeat=d):
+        v = flatten_index(n, *index)
+        # the 2^d corners: per axis, each corner so far is copied at index n - 1, sign flipped
+        vec = [(v, 1)]
+        for i, step in zip(reversed(index), steps):
+            vec += [(u + (top - i) * step, -s) for u, s in vec]
         # (b) A b_v = 0, summed over the lines through the vector's cells
         sums: dict[int, int] = {}
         for u, s in vec:
@@ -150,7 +155,7 @@ def _boundary_basis(n: int, line_cells: Sequence[Sequence[int]]) -> tuple[int, t
         # (c) a unit on v and on no other leading cell
         if vec[0] != (v, 1) or any(not boundary[u] for u, _ in vec[1:]):
             raise AssertionError(f"far-corner vector of cell {v} is not triangular")
-        basis[v] = vec
+        basis[v] = tuple(vec)
     return rank, tuple(basis)
 
 

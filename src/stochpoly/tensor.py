@@ -1,22 +1,22 @@
-"""Order-3 cubical tensors, line-stochasticity, Latin squares, and the
-bijection between Latin squares and the (0,1) line-stochastic tensors.
+"""Tensors of order 3, the line system of every order, line-stochasticity,
+Latin squares, and the bijection between Latin squares and the (0,1)
+line-stochastic tensors.
 
-A *line* of an n x n x n tensor is the set of n entries obtained by fixing
-two of the three indices; there are 3n^2 lines. A tensor is line-stochastic
-when every entry is nonnegative and every line sums to exactly 1.
-
-Indices are 0-based everywhere in process; the JSON layer and the Line
-descriptors report 1-based indices.
+A *line* of a tensor of order d and dimension n, which has n^d entries, is
+the set of n entries obtained by fixing all indices but one; there are
+d n^(d-1) lines, d through each entry. A tensor is line-stochastic when
+every entry is nonnegative and every line sums to exactly 1. ``Tensor3`` is
+order 3; ``birkhoff``'s doubly stochastic matrices are order 2. Indices are
+0-based in process; the JSON layer and the Line descriptors are 1-based.
 
 Entries are ``Fraction`` values at every public boundary. The line check and
 ``convex_combine`` read each tensor's numerators and denominators once into
 two int lists, put the values they add on one integer scale (the lcm of
 their denominators), sum Python ints, and build at most one ``Fraction`` per
-output entry.
-
-The lines of each order are built once, as a table of (``Line``, cell tuple)
-pairs in canonical order, which ``lines(n)``, the line check, the polytope's
-equality system and the double description all read.
+output entry. The lines of each dimension and order are built once, as a
+table of (``Line``, cell tuple) pairs in canonical order, which ``lines(n)``,
+the line check, the polytope's equality system and the double description
+all read.
 """
 from __future__ import annotations
 
@@ -52,12 +52,12 @@ __all__ = [
 
 
 class Line(NamedTuple):
-    """One line of a cubical tensor: ``axis`` is the varying index position
-    (1, 2 or 3), ``fixed`` holds the 1-based values of the two fixed indices
-    in increasing position order."""
+    """One line of a tensor of order d: ``axis`` is the varying index
+    position (1..d), ``fixed`` holds the 1-based values of the d - 1 fixed
+    indices in increasing position order."""
 
     axis: int
-    fixed: tuple[int, int]
+    fixed: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {"axis": self.axis, "fixed": list(self.fixed)}
@@ -68,10 +68,11 @@ class LineCheck(NamedTuple):
     violation: Optional[Line]
 
 
-def flatten_index(n: int, i: int, j: int, k: int) -> int:
-    """Position of entry (i, j, k), all 0-based, in a tensor's row-major
-    flat tuple; also the entry's column in the polytope's equality system."""
-    return (i * n + j) * n + k
+def flatten_index(n: int, *index: int) -> int:
+    """Position of the entry at ``index``, 0-based, in the row-major flat
+    tuple of a tensor of dimension n and order len(index); also the entry's
+    column in the polytope's equality system."""
+    return sum(i * n**p for p, i in enumerate(reversed(index)))
 
 
 class Tensor3:
@@ -129,11 +130,9 @@ class Tensor3:
         )
 
     def __getitem__(self, idx: tuple[int, int, int]) -> Fraction:
-        i, j, k = idx
-        n = self.n
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise IndexError(f"tensor index {idx} out of range for order {n}")
-        return self._flat[flatten_index(n, i, j, k)]
+        if len(idx) != 3 or not all(0 <= i < self.n for i in idx):
+            raise IndexError(f"tensor index {idx} out of range for order {self.n}")
+        return self._flat[flatten_index(self.n, *idx)]
 
     def flatten(self) -> tuple[Fraction, ...]:
         """The stored row-major tuple; entry (i, j, k) sits at
@@ -191,60 +190,54 @@ class LatinSquare:
 
 
 @lru_cache(maxsize=None)
-def _line_table(n: int) -> tuple[tuple[Line, tuple[int, ...]], ...]:
-    """The 3n^2 lines of order n in canonical order (see ``lines``), each
-    with the flat indices of its n cells; built once per order."""
-    rng = range(n)
+def _line_table(n: int, d: int) -> tuple[tuple[Line, tuple[int, ...]], ...]:
+    """The d n^(d-1) lines of dimension n and order d with their cells, axis
+    d first down to axis 1, each axis lexicographic in its fixed indices;
+    d has no default, so each (n, d) is one cache entry."""
     table = []
-    for i in rng:
-        for j in rng:
-            start = flatten_index(n, i, j, 0)
-            table.append((Line(3, (i + 1, j + 1)), tuple(range(start, start + n))))
-    for i in rng:
-        for k in rng:
-            start = flatten_index(n, i, 0, k)
-            table.append((Line(2, (i + 1, k + 1)), tuple(range(start, start + n * n, n))))
-    for j in rng:
-        for k in rng:
-            table.append((Line(1, (j + 1, k + 1)), tuple(range(flatten_index(n, 0, j, k), n**3, n * n))))
+    for axis in range(d, 0, -1):
+        step = n ** (d - axis)  # the flat distance between a line's cells
+        for fixed in product(range(n), repeat=d - 1):
+            start = flatten_index(n, *fixed[: axis - 1], 0, *fixed[axis - 1 :])
+            cells = tuple(range(start, start + n * step, step))
+            table.append((Line(axis, tuple(f + 1 for f in fixed)), cells))
     return tuple(table)
 
 
 def lines(n: int) -> Iterator[tuple[Line, tuple[int, ...]]]:
-    """All 3n^2 lines in canonical order, each with the flat indices of its
-    n cells: axis-3 lines (fix i, j), then axis-2 (fix i, k), then axis-1
-    (fix j, k), lexicographic within each block. This order matches the
-    constraint-row order of the polytope's equality system. The pairs come
-    from one table per order, so no ``Line`` is built after the first call."""
-    return iter(_line_table(n))
+    """All 3n^2 lines of order 3 in canonical order, each with the flat
+    indices of its n cells: axis-3 lines (fix i, j), then axis-2 (fix i, k),
+    then axis-1 (fix j, k), lexicographic within each block. This order
+    matches the constraint-row order of the polytope's equality system. The
+    pairs come from one table per n, so no ``Line`` is built twice."""
+    return iter(_line_table(n, 3))
 
 
-def _split(t: Tensor3) -> tuple[list[int], list[int]]:
-    """The numerators and the denominators of t's flat entries."""
-    flat = t.flatten()
+def _split(flat: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of flat entries."""
     return [v.numerator for v in flat], [v.denominator for v in flat]
 
 
 @lru_cache(maxsize=None)
-def _line_columns(n: int) -> tuple[itemgetter, ...]:
+def _line_columns(n: int, d: int) -> tuple[itemgetter, ...]:
     """For k < n, a getter of the values at the k-th cell of every line, in
-    line order, from a flat list; a tuple, as there are 3n^2 >= 3 lines."""
-    return tuple(itemgetter(*column) for column in zip(*[cells for _, cells in _line_table(n)]))
+    line order, from a flat list; a tuple, as there are d n^(d-1) >= 2 lines."""
+    return tuple(itemgetter(*column) for column in zip(*[cells for _, cells in _line_table(n, d)]))
 
 
-def _line_scan(t: Tensor3) -> tuple[Optional[Line], list[int]]:
-    """The first violating line of t (None when t is line-stochastic) and
-    the flat indices of its nonzero entries, from one read of the entries;
-    ``check_line_stochastic`` and ``polytope.is_vertex`` both use it.
+def _first_violation(n: int, d: int, flat: Sequence[Fraction]) -> tuple[Optional[tuple], list[int]]:
+    """The first line, as its (``Line``, cells) pair, of the row-major
+    entries ``flat`` of dimension n and order d that holds a negative entry
+    or does not sum to 1 (None when every line holds), and the entries'
+    numerators.
 
-    Each line is scaled by the lcm d of its own n denominators, so d stays
-    bounded by n denominators however many distinct ones the tensor holds;
-    the line sums to 1 exactly when its integer numerators sum to d. All
+    Each line is scaled by the lcm e of its own n denominators, so e stays
+    bounded by n denominators however many distinct ones the entries hold;
+    the line sums to 1 exactly when its integer numerators sum to e. All
     lines are scaled and summed together, one cell position at a time.
     """
-    nums, dens = _split(t)
-    support = [c for c, p in enumerate(nums) if p]
-    table, columns = _line_table(t.n), _line_columns(t.n)
+    nums, dens = _split(flat)
+    table, columns = _line_table(n, d), _line_columns(n, d)
     parts = [column(dens) for column in columns]
     scale = list(map(lcm, *parts))
     sums = [0] * len(table)
@@ -254,7 +247,15 @@ def _line_scan(t: Tensor3) -> tuple[Optional[Line], list[int]]:
     if min(nums) < 0:
         negative = next(r for r, (_, cells) in enumerate(table) if min([nums[c] for c in cells]) < 0)
         first = min(first, negative)
-    return (table[first][0] if first < len(table) else None), support
+    return (table[first] if first < len(table) else None), nums
+
+
+def _line_scan(t: Tensor3) -> tuple[Optional[Line], list[int]]:
+    """The first violating line of t (None when t is line-stochastic) and
+    the flat indices of its nonzero entries, from one read of the entries;
+    ``check_line_stochastic`` and ``polytope.is_vertex`` both use it."""
+    violation, nums = _first_violation(t.n, 3, t.flatten())
+    return (None if violation is None else violation[0]), [c for c, p in enumerate(nums) if p]
 
 
 def check_line_stochastic(t: Tensor3) -> LineCheck:
@@ -328,7 +329,7 @@ def convex_combine(
     n = tensors[0].n
     if any(t.n != n for t in tensors):
         raise ValueError("dimension mismatch among tensors")
-    nums, dens = zip(*map(_split, tensors))
+    nums, dens = zip(*(_split(t.flatten()) for t in tensors))
     # entry by entry, as whole columns: e_p, then sum(a_g * b_gp * (e_p // f_gp))
     scale = list(map(lcm, *dens))
     total = [0] * n**3

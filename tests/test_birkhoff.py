@@ -44,9 +44,11 @@ def test_validation():
         DoublyStochasticMatrix([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2), Fraction(3, 4)]])
     with pytest.raises(ValueError):
         DoublyStochasticMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
-    with pytest.raises(ValueError) as exc:
-        DoublyStochasticMatrix([[1, 0]])  # not square
-    assert not isinstance(exc.value, NotDoublyStochastic)
+    # not square: refused on its shape before any line is summed
+    for rows in ([[1, 0]], [[2, -1], [1]]):
+        with pytest.raises(ValueError, match="^matrix is not square$") as exc:
+            DoublyStochasticMatrix(rows)
+        assert not isinstance(exc.value, NotDoublyStochastic)
 
 
 P = 2**61 - 1  # a prime

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
@@ -123,6 +124,19 @@ def test_vertices_cap(capsys, monkeypatch):
             assert err.startswith("error: ") and f"n <= {VERTICES_MAX_N}" in err
             assert "cap" in err.lower() or "exceed" in err.lower()
             assert "warning" not in err
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1, "ddf101333aca9f5339e78277decb7ca433e276a0b48e3d66351e5967d4fada84"),
+        (2, "07f99be68200d13fa5e13fa89bce4bb9304706acfd9c08280576008c2e20a3da"),
+        (3, "a6f699c1b2f28af6edf8904b16d4012a82aec503ab2e2aae451c55ea1e7c83f9"),
+    ],
+)
+def test_vertices_output_is_pinned(capsys, n, digest):
+    code, out, _ = run(capsys, "vertices", str(n))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_vertices_deterministic_output(capsys):
@@ -274,6 +288,8 @@ def test_decompose_rejects_non_doubly_stochastic(capsys, tmp_path):
         # unreadable entries whose text reads like an exit-7 message
         ([["negative entry", "1"], ["1", "0"]], 1, "not a rational: 'negative entry'"),
         ([["sums to", "1"], ["1", "0"]], 1, "not a rational: 'sums to'"),
+        # a row too short: refused on the shape before any line is summed
+        ([["2", "-1"], ["1"]], 1, "matrix is not square"),
     ],
 )
 def test_decompose_exit_code_follows_the_error_not_its_text(capsys, tmp_path, rows, code, message):

@@ -1,8 +1,9 @@
 import itertools
+from math import factorial
 
 import pytest
 
-from stochpoly import enumeration
+from stochpoly import enumeration, tensor
 from stochpoly.enumeration import (
     VERTICES_MAX_N,
     ResourceCapExceeded,
@@ -11,7 +12,7 @@ from stochpoly.enumeration import (
     enumerate_vertices_bruteforce,
     enumerate_vertices_dd,
 )
-from stochpoly.polytope import is_vertex
+from stochpoly.polytope import _boundary_basis, is_vertex
 from stochpoly.tensor import Tensor3, latin_to_tensor, support
 
 
@@ -119,13 +120,24 @@ def test_brute_force_caps():
 
 
 def test_dd_cap(monkeypatch):
-    def refuse(n):
+    def refuse(n, *system):
         raise AssertionError(f"double description built its rows at n = {n}")
 
-    monkeypatch.setattr(enumeration, "_homogeneous_rows", refuse)
+    monkeypatch.setattr(enumeration, "_double_description", refuse)
     for n in (4, 5):
         with pytest.raises(ResourceCapExceeded, match=rf"n <= {VERTICES_MAX_N}"):
             enumerate_vertices_dd(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dd_at_order_2_finds_the_permutation_matrices(n):
+    """Birkhoff's theorem as a closed-form check: double description on the
+    order-2 line system returns exactly the n! permutation matrices."""
+    system = [cells for _, cells in tensor._line_table(n, 2)]
+    _, basis = _boundary_basis(n, system)
+    vertices = enumeration._double_description(n, basis, system[0])
+    perms = {tuple(int(p[i] == j) for i in range(n) for j in range(n)) for p in itertools.permutations(range(n))}
+    assert (len(vertices), vertices) == (factorial(n), perms)
 
 
 def test_latin_count_sandwiched_by_vertex_count_and_upper_bound(dd3):

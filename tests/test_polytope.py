@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochpoly
-from stochpoly import _kernels
+from stochpoly import _kernels, tensor
 from stochpoly.enumeration import enumerate_latin_squares
 from stochpoly.polytope import (
     HPolytope,
@@ -153,7 +153,7 @@ def test_build_rejects_nonpositive():
 
 
 def dense_rank(rows, columns):
-    """Reference: Bareiss on the selected columns of all 3n^2 rows."""
+    """Reference: Bareiss on the selected columns of all the rows."""
     return _kernels.rank_int([[row[c] for c in columns] for row in rows])
 
 
@@ -258,6 +258,12 @@ def line_cells(n):
     return [list(line) for _, line in lines(n)]
 
 
+def order2_cells(n):
+    """The order-2 line system of dimension n (the doubly stochastic
+    matrices): its n rows, then its n columns."""
+    return [list(line) for _, line in tensor._line_table(n, 2)]
+
+
 def move_one(n):
     """Line 0 (cells 0..n-1) has its cell 0 moved to cell n*n, off the line."""
     system = line_cells(n)
@@ -308,6 +314,49 @@ def test_boundary_basis_proof_rejects_tampered_systems():
     assert _kernels.rank_int(dense(2, system)) == 6
     with pytest.raises(AssertionError, match="peel"):
         _boundary_basis(2, system)
+    # order 2: a row's cell moved into the middle row, and two rows trading
+    # cells (0,0) and (1,0), which leaves the far-corner vector of (0,0) with
+    # a sum of 1 on the second row
+    system = order2_cells(3)
+    system[0][0] = 4
+    with pytest.raises(AssertionError, match="exactly 2 lines"):
+        _boundary_basis(3, system)
+    with pytest.raises(AssertionError, match="null space"):
+        _boundary_basis(3, swap(order2_cells(3), [(0, 1, 0, 3)]))
+
+
+def test_boundary_basis_proof_holds_at_order_2():
+    """The Birkhoff polytope B_n: rank 2n - 1, dimension (n - 1)^2, and a
+    far-corner vector +1 at (i, j) and (n-1, n-1), -1 at (i, n-1) and
+    (n-1, j) for each leading cell."""
+    for n in range(1, 65):
+        rank, basis = _boundary_basis(n, order2_cells(n))
+        assert (rank, sum(1 for vec in basis if vec)) == (2 * n - 1, (n - 1) ** 2)
+    top = n - 1
+    for i, j in product(range(top), repeat=2):
+        corners = ((i, j, 1), (i, top, -1), (top, j, -1), (top, top, 1))
+        assert basis[flatten_index(n, i, j)] == tuple((flatten_index(n, a, b), s) for a, b, s in corners)
+
+
+def test_rank_exact_at_order_2_finds_the_permutation_matrices():
+    """A doubly stochastic matrix is a vertex of B_n exactly when it is a
+    permutation matrix: on random sums of 1 to 3 permutation matrices,
+    rank_exact over the order-2 system gives full rank exactly when the
+    sum has one term, and agrees with the dense rank."""
+    rng = random.Random(2)
+    systems = {}
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        if n not in systems:
+            system = order2_cells(n)
+            rank, basis = _boundary_basis(n, system)
+            systems[n] = system, HPolytope(n=n, rank=rank, null_basis=basis)
+        system, hp = systems[n]
+        perms = {tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))}
+        supp = sorted({flatten_index(n, i, p[i]) for p in perms for i in range(n)})
+        rank = rank_exact(hp, supp)
+        assert (rank == len(supp)) == (len(perms) == 1)
+        assert rank == dense_rank(dense(n, system), supp)
 
 
 @pytest.mark.parametrize("line", [[0, 0, 1], [0, 1, 27], [-1, 0, 1], [0, 1], [0, 1, 2, 3]])
@@ -324,16 +373,17 @@ def test_boundary_basis_proof_survives_optimize_flag():
         """
         import sys
         from stochpoly.polytope import _boundary_basis
-        from stochpoly.tensor import lines
+        from stochpoly.tensor import _line_table
         if __debug__:
             sys.exit("not running under -O")
-        cells = [list(line) for _, line in lines(3)]
-        cells[0][0] = 9
-        try:
-            _boundary_basis(3, cells)
-        except AssertionError:
-            sys.exit(0)
-        sys.exit("a tampered system passed the proof")
+        for d, moved in ((3, 9), (2, 4)):
+            cells = [list(line) for _, line in _line_table(3, d)]
+            cells[0][0] = moved
+            try:
+                _boundary_basis(3, cells)
+            except AssertionError:
+                continue
+            sys.exit(f"a tampered system of order {d} passed the proof")
         """
     )
     src = str(Path(stochpoly.__file__).resolve().parents[1])

@@ -142,6 +142,30 @@ def test_lines_hold_the_flat_indices_of_their_cells(n):
     line, cells = next(lines(n))
     assert (line, list(cells)) == (Line(3, (1, 1)), list(range(n)))
 
+    def off_axis(index, axis):
+        return tuple(v + 1 for a, v in enumerate(index, 1) if a != axis)
+
+    # every order: flatten_index numbers the index tuples in lexicographic
+    # (row-major) order, and each line holds the n cells that agree with it
+    # off its axis, the axis-d block first
+    for d in (2, 3, 4):
+        indices = list(product(rng, repeat=d))
+        assert [flatten_index(n, *index) for index in indices] == list(range(n**d))
+        table = tensor._line_table(n, d)
+        assert len(table) == d * n ** (d - 1)
+        assert [line.axis for line, _ in table] == [a for a in range(d, 0, -1) for _ in range(n ** (d - 1))]
+        per_index = [0] * n**d
+        for line, cells in table:
+            assert (len(line.fixed), len(cells)) == (d - 1, n)
+            assert list(cells) == [c for c, index in enumerate(indices) if off_axis(index, line.axis) == line.fixed]
+            for c in cells:
+                per_index[c] += 1
+        assert per_index == [d] * n**d
+        for block in range(d):
+            fixed = [line.fixed for line, _ in table[block * n ** (d - 1) : (block + 1) * n ** (d - 1)]]
+            assert fixed == sorted(fixed)
+    assert tensor._line_table(n, 3) == tuple(lines(n))
+
 
 def test_latin_square_validation():
     LatinSquare([[1, 2], [2, 1]])
