@@ -38,6 +38,7 @@ from math import isqrt
 from operator import mul
 from typing import Callable, Sequence, TypeVar, Union
 
+from . import enumeration
 from .numerics import binomial, factorial, format_int, format_rational, rational_pow
 
 __all__ = [
@@ -366,9 +367,8 @@ def verify_chain(n: int) -> BoundReport:
     """
     if n < 2:
         raise ValueError("the comparison chain needs n >= 2")
-    from .enumeration import count_latin_squares
 
-    lower: Union[int, Fraction] = count_latin_squares(n) if n <= 5 else bound_lower(n)
+    lower: Union[int, Fraction] = enumeration.count_latin_squares(n) if n <= 5 else bound_lower(n)
 
     pairs = _pairs(n)
     c = dict(zip(pairs, _binomials(list(pairs.values()))))

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .birkhoff import NotDoublyStochastic, decompose, matrix_from_json
-from .bounds import verify_chain
+from .bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt, verify_chain
 from .enumeration import (
     BOUNDS_MAX_N,
     CHECK_VERTEX_MAX_N,
@@ -112,8 +112,6 @@ def cmd_bounds(args) -> int:
     else:
         # n = 1 is degenerate: every bound evaluates to a positive number,
         # but the strict chain needs n >= 2
-        from .bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt
-
         values = {
             "n": 1,
             "lower_latin": format_rational(bound_lower(1)),

@@ -22,8 +22,8 @@ from math import factorial, gcd
 from typing import Optional, Sequence
 
 from . import _kernels
-from .polytope import SparseVector, build_lp_polytope
-from .tensor import LatinSquare, Tensor3, lines, tensor_to_json
+from .polytope import HPolytope, build_lp_polytope
+from .tensor import LatinSquare, Tensor3, tensor_to_json
 
 __all__ = [
     "ResourceCapExceeded",
@@ -49,7 +49,7 @@ __all__ = [
 #: Latin square enumeration and counting: listing the 161 280 squares of
 #: order 5 takes about 3 s; L(6) is past 800 million
 LATIN_MAX_N = 5
-#: hull membership against every Latin tensor: the uniform tensor of order 4
+#: hull membership against every Latin tensor: the uniform tensor of dimension 4
 #: against 576 takes about 15 s; at n = 5 that is 161 280 generators and a
 #: dense 126 x 161 407 tableau (an inherited value, not set from this cost)
 HULL_LATIN_MAX_N = 4
@@ -62,7 +62,7 @@ VERTICES_MAX_N = 3
 #: takes about 0.05 s, verify_chain over 2..64 about 0.75-0.95 s, and
 #: `bounds 2 --sweep 64 --format json` about 1.2-1.3 s with its output (best of 3)
 BOUNDS_MAX_N = 64
-#: check-vertex: the cyclic Latin tensor of order 16 takes 0.5-1.0 s
+#: check-vertex: the cyclic Latin tensor of dimension 16 takes 0.5-1.0 s
 CHECK_VERTEX_MAX_N = 16
 #: cells of the phase-1 tableau of a membership LP over a generator file,
 #: (m + 1)(G + m + 1) for m = n^3 + 1 rows and G generators; near it a file
@@ -229,7 +229,7 @@ def _ray(slack: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return slack, sum(1 << v for v, x in enumerate(slack) if x == 0)
 
 
-def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = None) -> VertexSet:
+def enumerate_vertices_dd(n: int) -> VertexSet:
     """Vertex set via the double description method.
 
     The equality system is eliminated first: solutions are parameterized as
@@ -239,29 +239,27 @@ def enumerate_vertices_dd(n: int, insertion_order: Optional[Sequence[int]] = Non
     halfspaces. Each ray is stored once, as its primitive integer slack
     vector over those halfspaces, with its zero set; a vertex is a ray's
     slack vector divided by the sum over one line, because every null-space
-    direction has zero line sums. Unless ``insertion_order`` pins the
-    constraint order (the result is order-independent), remaining
-    constraints are inserted greedily, fewest-cut-rays first.
+    direction has zero line sums. The remaining constraints are inserted
+    greedily, fewest-cut-rays first; the result does not depend on the order.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if n > VERTICES_MAX_N:
         raise ResourceCapExceeded(f"double description capped at n <= {VERTICES_MAX_N}")
-    _, line = next(lines(n))
-    return _vertex_set(n, _double_description(n, build_lp_polytope(n).null_basis, line, insertion_order))
+    return _vertex_set(n, _double_description(build_lp_polytope(n)))
 
 
-def _double_description(n: int, null_basis: Sequence[SparseVector], line: Sequence[int], insertion_order=None):
-    """The vertices, as a set of flat tuples, of the polytope of a line
-    system of dimension n, given its proved far-corner ``null_basis`` (one
-    entry per cell, a vector N_v per leading cell v) and the cells of one
-    ``line``. Over y = (s, t), cell v has value (s + n * (N t)_v) / (n s),
-    so its nonnegativity is the integer halfspace row (1, n*N_v)."""
-    null = [vec for vec in null_basis if vec]
-    rows = [[1] + [0] * len(null) for _ in null_basis]
+def _double_description(hp: HPolytope, insertion_order: Optional[Sequence[int]] = None):
+    """The vertices, as a set of flat tuples, of the proved line system hp
+    of any order, from its far-corner null basis N (a vector N_v per leading
+    cell v) and its first line. Over y = (s, t), cell v has value
+    (s + n * (N t)_v) / (n s), so its nonnegativity is the integer halfspace
+    row (1, n*N_v). ``insertion_order`` pins the order of insertion."""
+    null = [vec for vec in hp.null_basis if vec]
+    rows = [[1] + [0] * len(null) for _ in hp.null_basis]
     for q, vec in enumerate(null, 1):
         for v, s in vec:
-            rows[v][q] = n * s
+            rows[v][q] = hp.n * s
     dim = len(null) + 1
 
     # initial simplicial cone from the first maximal independent row subset:
@@ -311,7 +309,7 @@ def _double_description(n: int, null_basis: Sequence[SparseVector], line: Sequen
 
     points: set[tuple[Fraction, ...]] = set()
     for s, _ in rays:
-        line_sum = sum(s[c] for c in line)
+        line_sum = sum(s[c] for c in hp.lines[0])
         if line_sum <= 0:
             raise AssertionError("unbounded direction found in a bounded polytope")
         points.add(tuple(Fraction(x, line_sum) for x in s))

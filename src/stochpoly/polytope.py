@@ -4,7 +4,8 @@ certification.
 The polytope of order d and dimension n lives in R^(n^d) (tensors flattened
 row-major) and is cut out by d n^(d-1) equality constraints A x = 1 (one per
 line, each row summing the n entries of that line to 1) together with
-nonnegativity; ``build_lp_polytope`` builds order 3, and the doubly
+nonnegativity. An ``HPolytope`` holds the lines of its order, which give
+its size and rows; ``build_lp_polytope`` builds order 3, the doubly
 stochastic matrices are order 2. A feasible point is a vertex exactly when
 the constraint columns indexed by its support are linearly independent,
 which reduces vertex certification to an exact rank computation.
@@ -63,43 +64,44 @@ SparseVector = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Equality system A x = 1 (plus x >= 0) for dimension n, held as its
-    lines (:func:`stochpoly.tensor.lines`); ``rows`` builds the dense 0/1
-    matrix A on request. null_basis[c] is the far-corner vector b_c of a
-    leading cell c, its pair (c, 1) first, and empty for a boundary cell c
-    (see the module docstring).
+    """Equality system A x = 1 (plus x >= 0) of dimension n, held as its
+    ``lines``, each line's cells; ``rows`` builds the dense 0/1 matrix A on
+    request. null_basis[c] is the far-corner vector b_c of a leading cell c,
+    its pair (c, 1) first, and empty for a boundary cell c (see the module
+    docstring). Only ``_boundary_basis`` builds one, proving ``rank``.
     """
 
     n: int
+    lines: tuple[tuple[int, ...], ...]
     rank: int
     null_basis: tuple[SparseVector, ...]
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """A as 0/1 rows in line order, built anew on each access."""
-        rows = [[0] * self.n**3 for _ in range(self.num_rows)]
-        for row, (_, cells) in zip(rows, lines(self.n)):
+        rows = [[0] * self.num_vars for _ in self.lines]
+        for row, cells in zip(rows, self.lines):
             for c in cells:
                 row[c] = 1
         return tuple(map(tuple, rows))
 
     @property
     def num_vars(self) -> int:
-        return self.n**3
+        return len(self.null_basis)
 
     @property
     def num_rows(self) -> int:
-        return 3 * self.n**2
+        return len(self.lines)
 
 
-def _boundary_basis(n: int, line_cells: Sequence[Sequence[int]]) -> tuple[int, tuple[SparseVector, ...]]:
+def _boundary_basis(n: int, line_cells: Sequence[Sequence[int]]) -> HPolytope:
     """Prove that the boundary columns of the line system of dimension n,
     given as each line's cells, are a basis of its column space, by checks
-    (a)-(c) of the module docstring, and return rank(A) = n^d - (n - 1)^d
-    with the far-corner null basis by cell. The order d is the least with
-    d n^(d-1) >= len(line_cells); with fewer lines, a cell lies on fewer
-    than d. Raises AssertionError (not through ``assert``, so ``python -O``
-    keeps it) when a check fails."""
+    (a)-(c) of the module docstring, and return the system with its rank
+    n^d - (n - 1)^d and far-corner null basis by cell. The order d is the
+    least with d n^(d-1) >= len(line_cells); with fewer lines, a cell lies
+    on fewer than d. Raises AssertionError (not through ``assert``, so
+    ``python -O`` keeps it) when a check fails."""
     d = next(d for d in count(1) if d * n ** (d - 1) >= len(line_cells))
     nv = n**d
     cell_lines: list[list[int]] = [[] for _ in range(nv)]
@@ -156,7 +158,7 @@ def _boundary_basis(n: int, line_cells: Sequence[Sequence[int]]) -> tuple[int, t
         if vec[0] != (v, 1) or any(not boundary[u] for u, _ in vec[1:]):
             raise AssertionError(f"far-corner vector of cell {v} is not triangular")
         basis[v] = tuple(vec)
-    return rank, tuple(basis)
+    return HPolytope(n=n, lines=tuple(map(tuple, line_cells)), rank=rank, null_basis=tuple(basis))
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +166,7 @@ def build_lp_polytope(n: int) -> HPolytope:
     """The line system of dimension n with its rank and boundary basis proved."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    rank, basis = _boundary_basis(n, [cells for _, cells in lines(n)])
-    return HPolytope(n=n, rank=rank, null_basis=basis)
+    return _boundary_basis(n, [cells for _, cells in lines(n)])
 
 
 def rank_exact(hp: HPolytope, columns: Sequence[int]) -> int:
@@ -228,7 +229,7 @@ def polytope_dimension(n: int) -> int:
     """Dimension of the polytope: n^3 minus the equality rank, which equals
     (n-1)^3; the identity is checked against the computed rank."""
     hp = build_lp_polytope(n)
-    dim = n**3 - hp.rank
+    dim = hp.num_vars - hp.rank
     if dim != (n - 1) ** 3:
         raise AssertionError(f"dimension {dim}, expected {(n - 1) ** 3}")
     return dim

@@ -102,10 +102,10 @@ class Tensor3:
 
     @classmethod
     def from_flat(cls, n: int, values: Iterable[Fraction | int | str]) -> "Tensor3":
-        """The tensor of order n whose row-major flattening is ``values``."""
+        """The tensor of dimension n whose row-major flattening is ``values``."""
         flat = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if n < 1 or len(flat) != n**3:
-            raise ValueError(f"a tensor of order {n} needs n^3 entries, got {len(flat)}")
+            raise ValueError(f"a tensor of dimension {n} needs n^3 entries, got {len(flat)}")
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "_flat", flat)
@@ -131,7 +131,7 @@ class Tensor3:
 
     def __getitem__(self, idx: tuple[int, int, int]) -> Fraction:
         if len(idx) != 3 or not all(0 <= i < self.n for i in idx):
-            raise IndexError(f"tensor index {idx} out of range for order {self.n}")
+            raise IndexError(f"tensor index {idx} out of range for dimension {self.n}")
         return self._flat[flatten_index(self.n, *idx)]
 
     def flatten(self) -> tuple[Fraction, ...]:
@@ -340,6 +340,8 @@ def convex_combine(
 
 def uniform_tensor(n: int) -> Tensor3:
     """All entries 1/n; the barycenter of the polytope."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
     return Tensor3.from_flat(n, [Fraction(1, n)] * n**3)
 
 

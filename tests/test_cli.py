@@ -114,7 +114,7 @@ def test_vertices_cap(capsys, monkeypatch):
     system is built: empty stdout and no warning."""
 
     def refuse(n):
-        raise AssertionError(f"the line system of order {n} was built")
+        raise AssertionError(f"the line system of dimension {n} was built")
 
     monkeypatch.setattr(enumeration, "build_lp_polytope", refuse)
     for n in (4, 5, 6):

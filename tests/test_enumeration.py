@@ -12,7 +12,7 @@ from stochpoly.enumeration import (
     enumerate_vertices_bruteforce,
     enumerate_vertices_dd,
 )
-from stochpoly.polytope import _boundary_basis, is_vertex
+from stochpoly.polytope import _boundary_basis, build_lp_polytope, is_vertex
 from stochpoly.tensor import Tensor3, latin_to_tensor, support
 
 
@@ -63,22 +63,23 @@ def test_vertices_n2_both_methods():
 
 
 def test_dd_insertion_order_does_not_matter(dd3):
-    reference = enumerate_vertices_dd(2)
+    hp = build_lp_polytope(2)
+    reference = enumeration._double_description(hp)
+    assert reference == {t.flatten() for t in enumerate_vertices_dd(2).vertices}
     indices = list(range(8))
     for order in itertools.islice(itertools.permutations(indices), 0, 24, 5):
-        vs = enumerate_vertices_dd(2, insertion_order=list(order))
-        assert vs.vertices == reference.vertices
-    vs_rev = enumerate_vertices_dd(2, insertion_order=list(reversed(indices)))
-    assert vs_rev.vertices == reference.vertices
+        assert enumeration._double_description(hp, list(order)) == reference
+    assert enumeration._double_description(hp, indices[::-1]) == reference
     # n = 3 has fractional vertices; pinned orders must match the greedy one
+    hp = build_lp_polytope(3)
     indices = list(range(27))
     for order in (indices, indices[::-1]):
-        assert enumerate_vertices_dd(3, insertion_order=order).vertices == dd3.vertices
+        assert enumeration._double_description(hp, order) == {t.flatten() for t in dd3.vertices}
 
 
 def test_dd_insertion_order_validation():
     with pytest.raises(ValueError):
-        enumerate_vertices_dd(2, insertion_order=[0, 1])
+        enumeration._double_description(build_lp_polytope(2), [0, 1])
 
 
 def test_cross_method_agreement_n3(dd3, brute3):
@@ -120,8 +121,8 @@ def test_brute_force_caps():
 
 
 def test_dd_cap(monkeypatch):
-    def refuse(n, *system):
-        raise AssertionError(f"double description built its rows at n = {n}")
+    def refuse(hp, *args):
+        raise AssertionError(f"double description built its rows at n = {hp.n}")
 
     monkeypatch.setattr(enumeration, "_double_description", refuse)
     for n in (4, 5):
@@ -133,9 +134,8 @@ def test_dd_cap(monkeypatch):
 def test_dd_at_order_2_finds_the_permutation_matrices(n):
     """Birkhoff's theorem as a closed-form check: double description on the
     order-2 line system returns exactly the n! permutation matrices."""
-    system = [cells for _, cells in tensor._line_table(n, 2)]
-    _, basis = _boundary_basis(n, system)
-    vertices = enumeration._double_description(n, basis, system[0])
+    hp = _boundary_basis(n, [cells for _, cells in tensor._line_table(n, 2)])
+    vertices = enumeration._double_description(hp)
     perms = {tuple(int(p[i] == j) for i in range(n) for j in range(n)) for p in itertools.permutations(range(n))}
     assert (len(vertices), vertices) == (factorial(n), perms)
 

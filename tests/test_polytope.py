@@ -53,29 +53,37 @@ def test_row_and_column_degrees():
         assert sum(row[c] for row in rows) == 3
 
 
-def reference_rows(n):
-    """The dense system from the definition: axis-3 lines (fix i, j), then
-    axis-2 (fix i, k), then axis-1 (fix j, k), each the 0/1 indicator of the
-    cells flatten_index gives it."""
+def reference_rows(n, d):
+    """The dense system of order d from the definition: the axis-d lines
+    (every other index fixed), then axis d - 1, down to axis 1 (at order 3:
+    fix i, j, then i, k, then j, k), each the 0/1 indicator of the cells
+    flatten_index gives it."""
     rows = []
-    for axis in (2, 1, 0):
-        for fixed in product(range(n), repeat=2):
-            row = [0] * n**3
+    for axis in reversed(range(d)):
+        for fixed in product(range(n), repeat=d - 1):
+            row = [0] * n**d
             for t in range(n):
-                ijk = list(fixed)
-                ijk.insert(axis, t)
-                row[flatten_index(n, *ijk)] = 1
+                index = list(fixed)
+                index.insert(axis, t)
+                row[flatten_index(n, *index)] = 1
             rows.append(tuple(row))
     return tuple(rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dense_rows_match_the_line_definition(n):
-    assert build_lp_polytope(n).rows == reference_rows(n)
+    assert build_lp_polytope(n).rows == reference_rows(n, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_2_polytope_takes_its_size_and_rows_from_its_lines(n):
+    hp = _boundary_basis(n, order2_cells(n))
+    assert (hp.num_vars, hp.num_rows) == (n * n, 2 * n)
+    assert hp.rows == reference_rows(n, 2)
 
 
 def test_polytope_keeps_no_dense_matrix():
-    assert {f.name for f in dataclasses.fields(HPolytope)} == {"n", "rank", "null_basis"}
+    assert {f.name for f in dataclasses.fields(HPolytope)} == {"n", "lines", "rank", "null_basis"}
 
 
 @pytest.mark.parametrize("n, dim", [(1, 0), (2, 1), (3, 8), (4, 27)])
@@ -282,7 +290,8 @@ def swap(system, moves):
 
 
 def dense(n, system):
-    """The 0/1 rows of a system given as each line's cells."""
+    """The 0/1 rows of an order-3 system given as each line's cells, for a
+    system the proof refuses (a proved one has ``HPolytope.rows``)."""
     rows = [[0] * n**3 for _ in system]
     for row, line in zip(rows, system):
         for c in line:
@@ -293,10 +302,10 @@ def dense(n, system):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_boundary_basis_proof_holds_on_the_line_system(n):
     system = line_cells(n)
-    rank, basis = _boundary_basis(n, system)
-    assert rank == 3 * n * n - 3 * n + 1
-    assert [v for v, vec in enumerate(basis) if vec] == cells(n, True)
-    for vec in basis:
+    hp = _boundary_basis(n, system)
+    assert hp.rank == 3 * n * n - 3 * n + 1
+    assert [v for v, vec in enumerate(hp.null_basis) if vec] == cells(n, True)
+    for vec in hp.null_basis:
         coefficient = dict(vec)
         assert all(sum(coefficient.get(c, 0) for c in line) == 0 for line in system)
 
@@ -330,12 +339,12 @@ def test_boundary_basis_proof_holds_at_order_2():
     far-corner vector +1 at (i, j) and (n-1, n-1), -1 at (i, n-1) and
     (n-1, j) for each leading cell."""
     for n in range(1, 65):
-        rank, basis = _boundary_basis(n, order2_cells(n))
-        assert (rank, sum(1 for vec in basis if vec)) == (2 * n - 1, (n - 1) ** 2)
+        hp = _boundary_basis(n, order2_cells(n))
+        assert (hp.rank, sum(1 for vec in hp.null_basis if vec)) == (2 * n - 1, (n - 1) ** 2)
     top = n - 1
     for i, j in product(range(top), repeat=2):
         corners = ((i, j, 1), (i, top, -1), (top, j, -1), (top, top, 1))
-        assert basis[flatten_index(n, i, j)] == tuple((flatten_index(n, a, b), s) for a, b, s in corners)
+        assert hp.null_basis[flatten_index(n, i, j)] == tuple((flatten_index(n, a, b), s) for a, b, s in corners)
 
 
 def test_rank_exact_at_order_2_finds_the_permutation_matrices():
@@ -348,15 +357,14 @@ def test_rank_exact_at_order_2_finds_the_permutation_matrices():
     for _ in range(200):
         n = rng.randrange(1, 7)
         if n not in systems:
-            system = order2_cells(n)
-            rank, basis = _boundary_basis(n, system)
-            systems[n] = system, HPolytope(n=n, rank=rank, null_basis=basis)
-        system, hp = systems[n]
+            hp = _boundary_basis(n, order2_cells(n))
+            systems[n] = hp, hp.rows
+        hp, rows = systems[n]
         perms = {tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))}
         supp = sorted({flatten_index(n, i, p[i]) for p in perms for i in range(n)})
         rank = rank_exact(hp, supp)
         assert (rank == len(supp)) == (len(perms) == 1)
-        assert rank == dense_rank(dense(n, system), supp)
+        assert rank == dense_rank(rows, supp)
 
 
 @pytest.mark.parametrize("line", [[0, 0, 1], [0, 1, 27], [-1, 0, 1], [0, 1], [0, 1, 2, 3]])

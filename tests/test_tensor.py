@@ -83,8 +83,14 @@ def test_from_flat_round_trip(half_vertex, latin3_tensors):
         assert hash(again) == hash(t)
         assert again.entries == t.entries
     for values in ([0] * 26, [0] * 28, []):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^a tensor of dimension 3 needs n\^3 entries"):
             Tensor3.from_flat(3, values)
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_uniform_tensor_rejects_nonpositive_dimension(n):
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        uniform_tensor(n)
 
 
 _ROUND_TRIPS = {
@@ -113,7 +119,7 @@ def test_getitem_reads_the_flat_tuple(half_vertex):
                 value = half_vertex[i, j, k]
                 assert value == half_vertex.entries[i][j][k]
                 assert value == half_vertex.flatten()[flatten_index(n, i, j, k)]
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="out of range for dimension 3$"):
         half_vertex[0, 3, 0]
 
 
