@@ -10,6 +10,9 @@ a convex combination of at most n^2 - 2n + 2 permutations, since each
 subtraction moves the remainder into a strictly lower-dimensional face.
 The order-3 tensor analogue of this decomposition does not exist, which is
 what the rest of this package is about.
+
+``DoublyStochasticMatrix`` is a frozen, slotted dataclass, immutable and
+compared, hashed, pickled and copied by value like ``tensor.Tensor3``.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import common_scale, format_rational, json_int, parse_rational
-from .tensor import _first_violation
+from .numerics import common_scale, format_rational
+from .tensor import _first_violation, _rational_row, _read_json
 
 __all__ = [
     "DoublyStochasticMatrix",
@@ -35,10 +38,12 @@ class NotDoublyStochastic(ValueError):
     """A matrix has a negative entry or a row or column sum other than 1."""
 
 
+@dataclass(frozen=True, slots=True)
 class DoublyStochasticMatrix:
     """n x n nonnegative matrix with all row and column sums exactly 1."""
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[Fraction | int | str]]):
         n = len(rows)
@@ -59,15 +64,6 @@ class DoublyStochasticMatrix:
             raise NotDoublyStochastic(f"{line} {index} sums to {sum(flat[c] for c in cells)}, not 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoublyStochasticMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, DoublyStochasticMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
 
 @dataclass(frozen=True)
@@ -157,15 +153,4 @@ def matrix_to_json(m: DoublyStochasticMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> DoublyStochasticMatrix:
-    try:
-        n = json_int(obj["n"], "n")
-        rows = obj["rows"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("matrix JSON needs fields 'n' and 'rows'") from exc
-    try:
-        m = DoublyStochasticMatrix([[parse_rational(str(v)) for v in row] for row in rows])
-    except TypeError as exc:
-        raise ValueError("matrix JSON 'rows' must be an n x n array") from exc
-    if m.n != n:
-        raise ValueError(f"declared n={n} but rows are {m.n}x{m.n}")
-    return m
+    return _read_json(obj, "matrix", "rows", 2, _rational_row, DoublyStochasticMatrix)

@@ -160,13 +160,22 @@ def cmd_vertices(args) -> int:
     return EXIT_OK
 
 
+def _declared_n(obj, field: str) -> int:
+    """The larger of a JSON object's integer ``n`` and the length of its
+    array ``field`` (0 where either is missing or malformed), for a cap to
+    compare before any entry is parsed; the reader refuses what is malformed."""
+    n, data = (obj.get("n"), obj.get(field)) if isinstance(obj, dict) else (0, 0)
+    return max(n if type(n) is int else 0, len(data) if isinstance(data, list) else 0)
+
+
 def cmd_check_vertex(args) -> int:
     try:
-        tensor = tensor_from_json(_load_json(args.tensor_file))
+        obj = _load_json(args.tensor_file)
+        if _declared_n(obj, "entries") > CHECK_VERTEX_MAX_N:
+            raise ResourceCapExceeded(f"check-vertex is capped at n <= {CHECK_VERTEX_MAX_N}")
+        tensor = tensor_from_json(obj)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if tensor.n > CHECK_VERTEX_MAX_N:
-        raise ResourceCapExceeded(f"check-vertex is capped at n <= {CHECK_VERTEX_MAX_N}")
     cert = is_vertex(tensor)
     _emit(cert.to_json())
     if cert.verdict == "vertex":
@@ -178,10 +187,12 @@ def cmd_check_vertex(args) -> int:
 
 def cmd_membership(args) -> int:
     try:
-        tensor = tensor_from_json(_load_json(args.tensor_file))
+        target = _load_json(args.tensor_file)
+        n = _declared_n(target, "entries")
         if args.generators == "latin":
-            if tensor.n > HULL_LATIN_MAX_N:
+            if n > HULL_LATIN_MAX_N:
                 raise ResourceCapExceeded(f"built-in generators need n <= {HULL_LATIN_MAX_N}")
+            tensor = tensor_from_json(target)
             generators = [latin_to_tensor(s) for s in enumerate_latin_squares(tensor.n)]
         else:
             raw = _load_json(args.generators)
@@ -190,12 +201,13 @@ def cmd_membership(args) -> int:
             # the phase-1 tableau: the LP's m rows (one per tensor entry, one
             # for the weight sum) and the objective, by one column per
             # generator, one artificial per row and the right-hand side
-            m = tensor.n**3 + 1
+            m = n**3 + 1
             cells = (m + 1) * (len(raw) + m + 1)
             if cells > MEMBERSHIP_MAX_CELLS:
                 raise ResourceCapExceeded(
                     f"a membership LP tableau of {cells} cells exceeds the cap of {MEMBERSHIP_MAX_CELLS}"
                 )
+            tensor = tensor_from_json(target)
             generators = [tensor_from_json(obj) for obj in raw]
         result = in_permutation_hull(tensor, generators)
     except ValueError as exc:
@@ -214,13 +226,14 @@ def cmd_latin(args) -> int:
 
 def cmd_decompose(args) -> int:
     try:
-        matrix = matrix_from_json(_load_json(args.matrix_file))
+        obj = _load_json(args.matrix_file)
+        if _declared_n(obj, "rows") > DECOMPOSE_MAX_N:
+            raise ResourceCapExceeded(f"decompose is capped at n <= {DECOMPOSE_MAX_N}")
+        matrix = matrix_from_json(obj)
     except NotDoublyStochastic as exc:
         return _fail(str(exc), EXIT_NOT_DOUBLY_STOCHASTIC)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if matrix.n > DECOMPOSE_MAX_N:
-        raise ResourceCapExceeded(f"decompose is capped at n <= {DECOMPOSE_MAX_N}")
     result = decompose(matrix)
     bound = matrix.n**2 - 2 * matrix.n + 2
     _emit(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -127,11 +128,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def json_int(value, what: str) -> int:
-    """An integer field of a JSON document, read with ``int()`` but never
-    from a float or a bool, which ``int()`` would truncate or turn into 0/1."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    """An integer field of a JSON document: a JSON integer and nothing else,
+    so never a float or a bool, which ``int()`` would truncate or turn into
+    0/1, nor a string, which ``int()`` would read."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return value
 
 
 def format_int(value: int) -> str:

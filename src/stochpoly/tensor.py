@@ -17,15 +17,22 @@ output entry. The lines of each dimension and order are built once, as a
 table of (``Line``, cell tuple) pairs in canonical order, which ``lines(n)``,
 the line check, the polytope's equality system and the double description
 all read.
+
+``Tensor3`` and ``LatinSquare`` are frozen, slotted dataclasses, like the
+package's other value types: their own constructors validate the input, and
+the dataclass makes them immutable and gives them equality, hashing, pickling
+and copying by value. ``tensor_from_json``, ``latin_from_json`` and
+``birkhoff.matrix_from_json`` share one reader and its messages.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import add, floordiv, itemgetter, mul, ne
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .numerics import common_scale, format_rational, json_int, parse_rational
 
@@ -75,15 +82,17 @@ def flatten_index(n: int, *index: int) -> int:
     return sum(i * n**p for p, i in enumerate(reversed(index)))
 
 
+@dataclass(frozen=True, slots=True)
 class Tensor3:
-    """Dense n x n x n tensor of exact rationals, immutable value type.
+    """Dense n x n x n tensor of exact rationals, a frozen value type.
 
     The entries are stored once, as the row-major flat tuple that
     ``flatten()`` returns: entry (i, j, k), 0-based, sits at
     ``flatten_index(n, i, j, k)``.
     """
 
-    __slots__ = ("n", "_flat")
+    n: int
+    _flat: tuple[Fraction, ...]
 
     def __init__(self, entries: Sequence[Sequence[Sequence[Fraction | int | str]]]):
         n = len(entries)
@@ -111,14 +120,6 @@ class Tensor3:
         object.__setattr__(t, "_flat", flat)
         return t
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not by restoring
-        # slots through the refusing __setattr__
-        return type(self).from_flat, (self.n, self._flat)
-
     @property
     def entries(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """Nested read-only view: ``entries[i][j][k]`` is the entry at
@@ -139,21 +140,17 @@ class Tensor3:
         ``flatten_index(n, i, j, k)``."""
         return self._flat
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tensor3) and self._flat == other._flat
-
-    def __hash__(self) -> int:
-        return hash(self._flat)
-
     def __repr__(self) -> str:
         return f"Tensor3(n={self.n})"
 
 
+@dataclass(frozen=True, slots=True)
 class LatinSquare:
     """n x n array over {1..n} where every row and every column is a
     permutation; validated at construction."""
 
-    __slots__ = ("n", "cells")
+    n: int
+    cells: tuple[tuple[int, ...], ...]
 
     def __init__(self, cells: Sequence[Sequence[int]]):
         n = len(cells)
@@ -169,18 +166,6 @@ class LatinSquare:
                 raise ValueError(f"column {c + 1} is not a permutation of 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cells", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatinSquare is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.cells,)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatinSquare) and self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
 
     def __lt__(self, other: "LatinSquare") -> bool:
         return self.cells < other.cells
@@ -374,19 +359,37 @@ def tensor_to_json(t: Tensor3) -> dict:
     }
 
 
-def tensor_from_json(obj: dict) -> Tensor3:
+def _read_json(obj, kind: str, field: str, depth: int, row: Callable, build: Callable):
+    """The reader of tensors, Latin squares and doubly stochastic matrices:
+    ``build`` applied to the array ``obj[field]``, nested ``depth`` deep,
+    with each innermost array read by ``row``; the value's n must be the
+    declared ``obj["n"]``. Every fault of the document is a ValueError."""
     try:
         n = json_int(obj["n"], "n")
-        entries = obj["entries"]
+        data = obj[field]
     except (KeyError, TypeError) as exc:
-        raise ValueError("tensor JSON needs fields 'n' and 'entries'") from exc
+        raise ValueError(f"{kind} JSON needs fields 'n' and '{field}'") from exc
     try:
-        t = Tensor3([[[parse_rational(str(v)) for v in row] for row in layer] for layer in entries])
+        value = build(_read_rows(data, depth - 1, row))
     except TypeError as exc:
-        raise ValueError("tensor JSON 'entries' must be an n x n x n array") from exc
-    if t.n != n:
-        raise ValueError(f"declared n={n} but entries are {t.n}^3")
-    return t
+        shape = " x ".join(["n"] * depth)
+        raise ValueError(f"{kind} JSON '{field}' must be an {shape} array") from exc
+    if value.n != n:
+        size = f"{value.n}^3" if depth == 3 else f"{value.n}x{value.n}"
+        raise ValueError(f"declared n={n} but {field} are {size}")
+    return value
+
+
+def _read_rows(array, depth: int, row: Callable) -> list:
+    return row(array) if depth == 0 else [_read_rows(a, depth - 1, row) for a in array]
+
+
+def _rational_row(row) -> list[Fraction]:
+    return [parse_rational(str(v)) for v in row]
+
+
+def tensor_from_json(obj: dict) -> Tensor3:
+    return _read_json(obj, "tensor", "entries", 3, _rational_row, Tensor3)
 
 
 def latin_to_json(s: LatinSquare) -> dict:
@@ -394,15 +397,8 @@ def latin_to_json(s: LatinSquare) -> dict:
 
 
 def latin_from_json(obj: dict) -> LatinSquare:
-    try:
-        n = json_int(obj["n"], "n")
-        cells = obj["cells"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("latin square JSON needs fields 'n' and 'cells'") from exc
-    try:
-        s = LatinSquare([[json_int(v, "a latin square cell") for v in row] for row in cells])
-    except TypeError as exc:
-        raise ValueError("latin square JSON 'cells' must be an n x n array") from exc
-    if s.n != n:
-        raise ValueError(f"declared n={n} but cells are {s.n}x{s.n}")
-    return s
+    return _read_json(obj, "latin square", "cells", 2, _latin_row, LatinSquare)
+
+
+def _latin_row(row) -> list[int]:
+    return [json_int(v, "a latin square cell") for v in row]

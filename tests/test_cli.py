@@ -415,6 +415,33 @@ def test_decompose_cap_is_checked_before_work(capsys, monkeypatch, tmp_path):
     assert DECOMPOSE_MAX_N == 64
 
 
+def test_caps_refuse_before_any_entry_is_parsed(capsys, tmp_path, fractions_built):
+    """A declared n or a top-level array over a command's cap exits 3 before
+    any entry is read, so no Fraction is built, even where the entries would
+    have been refused with another exit code."""
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(["not a tensor"]))
+
+    def cube(n, value):
+        return [[[value] * n] * n] * n
+
+    cases = [
+        (["check-vertex"], {"n": CHECK_VERTEX_MAX_N + 1, "entries": cube(CHECK_VERTEX_MAX_N + 1, "0")}),
+        (["check-vertex"], {"n": CHECK_VERTEX_MAX_N + 1, "entries": cube(1, "1")}),
+        (["check-vertex"], {"n": 1, "entries": cube(1, "1") * (CHECK_VERTEX_MAX_N + 1)}),
+        # all zero: its reader would refuse it with exit 7, row 1 sums to 0
+        (["decompose"], {"n": DECOMPOSE_MAX_N + 1, "rows": [["0"] * (DECOMPOSE_MAX_N + 1)] * (DECOMPOSE_MAX_N + 1)}),
+        (["decompose"], {"n": DECOMPOSE_MAX_N + 1, "rows": "not an array"}),
+        (["membership"], {"n": HULL_LATIN_MAX_N + 1, "entries": cube(HULL_LATIN_MAX_N + 1, "x")}),
+        (["membership", "--generators", str(gens)], {"n": 16, "entries": cube(16, "0")}),
+    ]
+    for argv, obj in cases:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        (code, out, _), built = fractions_built(run, capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, built) == (3, "", 0), argv
+
+
 def test_no_module_reads_the_environment():
     """Every work limit is a module constant: no module of the package reads
     an environment variable."""

@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochpoly
 from stochpoly import _kernels, tensor
+from stochpoly.birkhoff import DoublyStochasticMatrix, decompose
+from stochpoly.bounds import check_hockey_stick, verify_chain
 from stochpoly.enumeration import enumerate_latin_squares
+from stochpoly.lp import LPProblem, in_permutation_hull
 from stochpoly.polytope import VertexCertificate, build_lp_polytope, is_vertex
 from stochpoly.tensor import (
     LatinSquare,
@@ -93,6 +97,8 @@ def test_uniform_tensor_rejects_nonpositive_dimension(n):
         uniform_tensor(n)
 
 
+#: the exported names that are not value classes
+_NOT_VALUES = {"ResourceCapExceeded", "Rational"}
 _ROUND_TRIPS = {
     "pickle": lambda x: pickle.loads(pickle.dumps(x)),
     "copy": copy.copy,
@@ -101,14 +107,36 @@ _ROUND_TRIPS = {
 
 
 @pytest.mark.parametrize("how", _ROUND_TRIPS)
-def test_tensor_and_latin_square_survive_pickle_and_copy(how, half_vertex):
+def test_tensor_and_latin_square_survive_pickle_and_copy(how, half_vertex, dd3):
+    """Every value class the package exports comes back equal, and the
+    tensor, the Latin square and the matrix with the same hash and view."""
     square = LatinSquare([[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
-    for value, view in ((half_vertex, "entries"), (uniform_tensor(3), "entries"), (square, "cells")):
+    matrix = DoublyStochasticMatrix([[Fraction(1, 2)] * 2] * 2)
+    latin2 = [latin_to_tensor(s) for s in enumerate_latin_squares(2)]
+    values = [
+        (half_vertex, "entries"),
+        (uniform_tensor(3), "entries"),
+        (square, "cells"),
+        (matrix, "rows"),
+        (decompose(matrix), None),
+        (verify_chain(3), None),
+        (check_hockey_stick(2, 3, 4), None),
+        (dd3, None),
+        (LPProblem(((Fraction(1), Fraction(1, 2)),), (Fraction(1),)), None),
+        (in_permutation_hull(uniform_tensor(2), latin2), None),
+        (build_lp_polytope(2), None),
+        (is_vertex(half_vertex), None),
+        (Line(3, (1, 2)), None),
+    ]
+    exported = {name for name in stochpoly.__all__ if name[0].isupper() and name not in _NOT_VALUES}
+    assert {type(value).__name__ for value, _ in values} == exported
+    for value, view in values:
         again = _ROUND_TRIPS[how](value)
         assert type(again) is type(value)
         assert again == value
-        assert hash(again) == hash(value)
-        assert getattr(again, view) == getattr(value, view)
+        if view is not None:
+            assert hash(again) == hash(value)
+            assert getattr(again, view) == getattr(value, view)
 
 
 def test_getitem_reads_the_flat_tuple(half_vertex):
