@@ -3,8 +3,8 @@ and the brute-force vertex oracle.
 
 ``pivot`` (one fraction-free Gauss-Jordan step, Bareiss 1968 / Edmonds
 1967) and ``reduce`` (a greedy pass over columns) run every exact solve:
-``solve_for_free_columns``, the double description initial cone in
-``enumeration`` and the integer simplex tableau in ``lp``.
+the double description initial cone in ``enumeration`` and the integer
+simplex tableau in ``lp``.
 
 The brute-force vertex oracle solves one exact linear system per candidate
 active set: C(n^3, 3n^2-3n+1) systems, about 2.2 million at n = 3. Once per
@@ -119,26 +119,6 @@ def reduce(m: list[list[int]], ncols: int | None = None) -> tuple[list[int], int
             prev = pivot(m, k, c, prev)
             cols.append(c)
     return cols, prev
-
-
-def solve_for_free_columns(
-    a_rows: Sequence[Sequence[int]], free_cols: Sequence[int]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Solve A[:, F] x = 1 exactly with Python integers.
-
-    Returns (den, numerators over F) when the system has a unique nonnegative
-    solution, None otherwise. den is the final elimination pivot; it may be
-    negative, in which case the numerators are nonpositive.
-    """
-    r = len(free_cols)
-    m = [[int(row[c]) for c in free_cols] + [1] for row in a_rows]
-    pivots, den = reduce(m, r)
-    if len(pivots) < r or any(row[r] for row in m[r:]):
-        return None
-    nums = tuple(row[r] for row in m[:r])
-    if any((v > 0) != (den > 0) for v in nums if v != 0):
-        return None
-    return den, nums
 
 
 def basic_feasible_solutions(

@@ -13,13 +13,18 @@ Exit codes:
     5  check-vertex: point is infeasible
     6  membership: point is outside the hull (with Farkas certificate)
     7  decompose: input is not doubly stochastic
+
+Each command returns the code of its verdict. main is the one place where
+an exception becomes an exit code: ResourceCapExceeded gives 3,
+NotDoublyStochastic gives 7 and any other ValueError gives 1, each with one
+"error:" line on stderr and no traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from fractions import Fraction
+import textwrap
 
 from . import __version__
 from .birkhoff import NotDoublyStochastic, decompose, matrix_from_json
@@ -39,7 +44,7 @@ from .enumeration import (
     enumerate_vertices_dd,
 )
 from .lp import in_permutation_hull
-from .numerics import format_int, format_rational
+from .numerics import format_rational
 from .polytope import is_vertex
 from .tensor import latin_to_json, latin_to_tensor, tensor_from_json
 
@@ -51,13 +56,7 @@ EXIT_NOT_VERTEX = 4
 EXIT_INFEASIBLE_POINT = 5
 EXIT_NOT_IN_HULL = 6
 EXIT_NOT_DOUBLY_STOCHASTIC = 7
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+_VERDICT_EXIT = {"vertex": EXIT_OK, "not_vertex": EXIT_NOT_VERTEX, "infeasible": EXIT_INFEASIBLE_POINT}
 
 
 def _emit(obj) -> None:
@@ -78,74 +77,59 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _bounds_table(report) -> str:
-    rows = [
-        ("lower_latin", format_rational(Fraction(report.lower_latin))),
-        ("cpz", format_rational(report.cpz)),
-        ("lzz", format_int(report.lzz)),
-        ("zz_opt", format_int(report.zz_opt)),
-        ("zz_half", format_int(report.zz_half)),
-    ]
-    width = max(len(v) for _, v in rows)
-    lines = [f"n = {report.n}"]
-    lines += [f"  {name:<12} {value:>{width}}" for name, value in rows]
-    order = " ".join(
-        part
-        for name, rel in zip(report.ordering, report.relations + ("",))
-        for part in ((name, rel) if rel else (name,))
-    )
-    lines.append(f"  order: {order}")
-    lines.append(f"  checks: {'all hold' if report.all_hold else 'VIOLATED'}")
+# the five bounds of the table, in its order, each with its function of n
+_BOUNDS = {
+    "lower_latin": bound_lower,
+    "cpz": bound_cpz,
+    "lzz": bound_lzz,
+    "zz_opt": bound_zz_opt,
+    "zz_half": bound_zz_half,
+}
+
+
+def _bounds_table(n: int, texts: dict, report=None) -> str:
+    """The table of the bounds at n, ``texts`` holding each bound of
+    ``_BOUNDS`` written out; a report of the chain adds its observed order
+    and the verdict of its checks."""
+    width = max(map(len, texts.values()))
+    lines = [f"n = {n}"] + [f"  {name:<12} {text:>{width}}" for name, text in texts.items()]
+    if report is not None:
+        order = "".join(f"{name} {rel} " for name, rel in zip(report.ordering, report.relations))
+        lines.append(f"  order: {order}{report.ordering[-1]}")
+        lines.append(f"  checks: {'all hold' if report.all_hold else 'VIOLATED'}")
     return "\n".join(lines)
 
 
 def cmd_bounds(args) -> int:
     if args.sweep is not None and args.sweep < 2:
-        return _fail("--sweep MAX_N must be >= 2", EXIT_USAGE)
+        raise ValueError("--sweep MAX_N must be >= 2")
     top = args.n if args.sweep is None else args.sweep
     if top > BOUNDS_MAX_N:
         raise ResourceCapExceeded(f"bounds are capped at n <= {BOUNDS_MAX_N}")
-    if args.sweep is not None:
-        reports = [verify_chain(n) for n in range(2, args.sweep + 1)]
-    elif args.n >= 2:
-        reports = [verify_chain(args.n)]
-    else:
+    if top == 1:
         # n = 1 is degenerate: every bound evaluates to a positive number,
         # but the strict chain needs n >= 2
-        values = {
-            "n": 1,
-            "lower_latin": format_rational(bound_lower(1)),
-            "cpz": format_rational(bound_cpz(1)),
-            "lzz": format_int(bound_lzz(1)),
-            "zz_opt": format_int(bound_zz_opt(1)),
-            "zz_half": format_int(bound_zz_half(1)),
-        }
+        texts = {name: format_rational(bound(1)) for name, bound in _BOUNDS.items()}
         if args.format == "json":
-            _emit(values)
+            _emit({"n": 1, **texts})
         else:
-            print("n = 1")
-            for key in ("lower_latin", "cpz", "lzz", "zz_opt", "zz_half"):
-                print(f"  {key:<12} {values[key]}")
+            print(_bounds_table(1, texts))
         return EXIT_OK
-
+    reports = [verify_chain(n) for n in (range(2, top + 1) if args.sweep is not None else (top,))]
     if args.format == "json":
         payload = [r.to_json() for r in reports]
         _emit(payload if args.sweep is not None else payload[0])
     else:
         for r in reports:
-            print(_bounds_table(r))
+            print(_bounds_table(r.n, {name: format_rational(getattr(r, name)) for name in _BOUNDS}, r))
     if not all(r.all_hold for r in reports):
         return _fail("an asserted bound inequality failed", EXIT_CLAIM_FAILED)
     return EXIT_OK
 
 
 def cmd_vertices(args) -> int:
-    if args.method == "dd":
-        vs = enumerate_vertices_dd(args.n)
-    elif args.method == "brute":
-        vs = enumerate_vertices_bruteforce(args.n)
-    else:
-        vs = enumerate_vertices_dd(args.n)
+    vs = enumerate_vertices_bruteforce(args.n) if args.method == "brute" else enumerate_vertices_dd(args.n)
+    if args.method == "both":
         brute = enumerate_vertices_bruteforce(args.n)
         if vs.vertices != brute.vertices:
             _emit(
@@ -160,58 +144,50 @@ def cmd_vertices(args) -> int:
     return EXIT_OK
 
 
-def _declared_n(obj, field: str) -> int:
-    """The larger of a JSON object's integer ``n`` and the length of its
-    array ``field`` (0 where either is missing or malformed), for a cap to
-    compare before any entry is parsed; the reader refuses what is malformed."""
+def _read(path: str, field: str, reader, cap: int, refusal: str, size=lambda n: n):
+    """Load the JSON document at ``path``, refuse it with ``refusal`` (formatted
+    with ``size`` and ``cap``) when ``size(n)`` is over ``cap``, n the larger
+    of its integer ``n`` and the length of its array ``field``, and only then
+    hand it to ``reader``, which refuses what is malformed."""
+    obj = _load_json(path)
     n, data = (obj.get("n"), obj.get(field)) if isinstance(obj, dict) else (0, 0)
-    return max(n if type(n) is int else 0, len(data) if isinstance(data, list) else 0)
+    work = size(max(n if type(n) is int else 0, len(data) if isinstance(data, list) else 0))
+    if work > cap:
+        raise ResourceCapExceeded(refusal.format(size=work, cap=cap))
+    return reader(obj)
 
 
 def cmd_check_vertex(args) -> int:
-    try:
-        obj = _load_json(args.tensor_file)
-        if _declared_n(obj, "entries") > CHECK_VERTEX_MAX_N:
-            raise ResourceCapExceeded(f"check-vertex is capped at n <= {CHECK_VERTEX_MAX_N}")
-        tensor = tensor_from_json(obj)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    cert = is_vertex(tensor)
+    refusal = "check-vertex is capped at n <= {cap}"
+    cert = is_vertex(_read(args.tensor_file, "entries", tensor_from_json, CHECK_VERTEX_MAX_N, refusal))
     _emit(cert.to_json())
-    if cert.verdict == "vertex":
-        return EXIT_OK
-    if cert.verdict == "not_vertex":
-        return EXIT_NOT_VERTEX
-    return EXIT_INFEASIBLE_POINT
+    return _VERDICT_EXIT[cert.verdict]
 
 
 def cmd_membership(args) -> int:
-    try:
-        target = _load_json(args.tensor_file)
-        n = _declared_n(target, "entries")
-        if args.generators == "latin":
-            if n > HULL_LATIN_MAX_N:
-                raise ResourceCapExceeded(f"built-in generators need n <= {HULL_LATIN_MAX_N}")
-            tensor = tensor_from_json(target)
-            generators = [latin_to_tensor(s) for s in enumerate_latin_squares(tensor.n)]
-        else:
-            raw = _load_json(args.generators)
-            if not isinstance(raw, list):
-                raise ValueError("generator file must be a JSON array of tensors")
-            # the phase-1 tableau: the LP's m rows (one per tensor entry, one
-            # for the weight sum) and the objective, by one column per
-            # generator, one artificial per row and the right-hand side
-            m = n**3 + 1
-            cells = (m + 1) * (len(raw) + m + 1)
-            if cells > MEMBERSHIP_MAX_CELLS:
-                raise ResourceCapExceeded(
-                    f"a membership LP tableau of {cells} cells exceeds the cap of {MEMBERSHIP_MAX_CELLS}"
-                )
-            tensor = tensor_from_json(target)
-            generators = [tensor_from_json(obj) for obj in raw]
-        result = in_permutation_hull(tensor, generators)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    if args.generators == "latin":
+        refusal = "built-in generators need n <= {cap}"
+        tensor = _read(args.tensor_file, "entries", tensor_from_json, HULL_LATIN_MAX_N, refusal)
+        generators = [latin_to_tensor(s) for s in enumerate_latin_squares(tensor.n)]
+    else:
+        raw = _load_json(args.generators)
+        if not isinstance(raw, list):
+            raise ValueError("generator file must be a JSON array of tensors")
+        # the phase-1 tableau: the LP's m = n^3 + 1 rows (one per tensor
+        # entry, one for the weight sum) and the objective, by one column
+        # per generator, one artificial per row and the right-hand side
+        refusal = "a membership LP tableau of {size} cells exceeds the cap of {cap}"
+        tensor = _read(
+            args.tensor_file, "entries", tensor_from_json, MEMBERSHIP_MAX_CELLS, refusal,
+            lambda n: (n**3 + 2) * (len(raw) + n**3 + 2),
+        )
+        generators = []
+        for obj in raw:
+            # a declared dimension is compared before any entry is parsed
+            if isinstance(obj, dict) and type(obj.get("n")) is int and obj["n"] != tensor.n:
+                raise ValueError("generator dimension mismatch")
+            generators.append(tensor_from_json(obj))
+    result = in_permutation_hull(tensor, generators)
     _emit(result.to_json())
     return EXIT_OK if result.feasible else EXIT_NOT_IN_HULL
 
@@ -225,15 +201,8 @@ def cmd_latin(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        obj = _load_json(args.matrix_file)
-        if _declared_n(obj, "rows") > DECOMPOSE_MAX_N:
-            raise ResourceCapExceeded(f"decompose is capped at n <= {DECOMPOSE_MAX_N}")
-        matrix = matrix_from_json(obj)
-    except NotDoublyStochastic as exc:
-        return _fail(str(exc), EXIT_NOT_DOUBLY_STOCHASTIC)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    refusal = "decompose is capped at n <= {cap}"
+    matrix = _read(args.matrix_file, "rows", matrix_from_json, DECOMPOSE_MAX_N, refusal)
     result = decompose(matrix)
     bound = matrix.n**2 - 2 * matrix.n + 2
     _emit(
@@ -248,14 +217,17 @@ def cmd_decompose(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="stochpoly",
-        description=__doc__.splitlines()[0],
-        epilog=f"Work limits, each checked before any work (exit 3): vertices n <= {VERTICES_MAX_N}, "
-        f"check-vertex n <= {CHECK_VERTEX_MAX_N}, membership n <= {HULL_LATIN_MAX_N} with the "
-        f"built-in generators and at most {MEMBERSHIP_MAX_CELLS} simplex tableau cells with a "
-        f"generator file, latin n <= {LATIN_MAX_N}, decompose n <= {DECOMPOSE_MAX_N}, "
-        f"bounds n <= {BOUNDS_MAX_N}.",
+        description=__doc__,
+        epilog=textwrap.fill(
+            f"Work limits, each checked before any work (exit 3): vertices n <= {VERTICES_MAX_N}, "
+            f"check-vertex n <= {CHECK_VERTEX_MAX_N}, membership n <= {HULL_LATIN_MAX_N} with the "
+            f"built-in generators and at most {MEMBERSHIP_MAX_CELLS} simplex tableau cells with a "
+            f"generator file, latin n <= {LATIN_MAX_N}, decompose n <= {DECOMPOSE_MAX_N}, "
+            f"bounds n <= {BOUNDS_MAX_N}."
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"stochpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -299,17 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if getattr(args, "n", 1) < 1:  # the n of bounds, vertices and latin
-        return _fail("n must be >= 1", EXIT_USAGE)
-    try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "n", 1) < 1:  # the n of bounds, vertices and latin
+            raise ValueError("n must be >= 1")
         return args.func(args)
+    except SystemExit as exc:  # argparse: 0 for --help and --version, 2 for a usage error (our 1)
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     except ResourceCapExceeded as exc:  # raised by every work limit before its work
         return _fail(str(exc), EXIT_CAP)
+    except NotDoublyStochastic as exc:
+        return _fail(str(exc), EXIT_NOT_DOUBLY_STOCHASTIC)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import pytest
 
 import stochpoly
 from stochpoly import cli, enumeration, lp
-from stochpoly.birkhoff import DoublyStochasticMatrix, matrix_to_json
+from stochpoly.birkhoff import DoublyStochasticMatrix, NotDoublyStochastic, matrix_to_json
 from stochpoly.bounds import bound_cpz, bound_lower, bound_lzz, bound_zz_half, bound_zz_opt
 from stochpoly.cli import main
 from stochpoly.enumeration import (
@@ -18,10 +18,11 @@ from stochpoly.enumeration import (
     HULL_LATIN_MAX_N,
     MEMBERSHIP_MAX_CELLS,
     VERTICES_MAX_N,
+    ResourceCapExceeded,
     enumerate_latin_squares,
 )
 from stochpoly.numerics import parse_rational
-from stochpoly.tensor import latin_to_tensor, tensor_to_json, uniform_tensor
+from stochpoly.tensor import latin_to_tensor, tensor_from_json, tensor_to_json, uniform_tensor
 
 
 def run(capsys, *argv):
@@ -512,3 +513,125 @@ def test_deeply_nested_json_exits_1(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "recursion" in err and "Traceback" not in err
+
+
+def _pinned_inputs():
+    """The input files of ``test_command_line_is_pinned``, beside the ones of
+    ``asset_dir``."""
+    perm3 = tensor_to_json(latin_to_tensor(enumerate_latin_squares(3)[0]))
+    return {
+        "perm3.json": perm3,
+        "perm3_list.json": [perm3],
+        "uniform3_list.json": [tensor_to_json(uniform_tensor(3))],
+        "uniform2.json": tensor_to_json(uniform_tensor(2)),
+        "uniform5.json": tensor_to_json(uniform_tensor(5)),
+        "uniform16.json": tensor_to_json(uniform_tensor(16)),
+        "bad_shape.json": {"n": 2, "entries": 5},
+        "declared17.json": {"n": 17, "entries": [[["1"]]]},
+        "half2.json": {"n": 2, "rows": [["1/2", "1/2"], ["1/2", "1/2"]]},
+        "short_row.json": {"n": 2, "rows": [["2", "-1"], ["1"]]},
+        "declared65.json": {"n": 65, "rows": [["1"]]},
+        "row_sums.json": {"n": 2, "rows": [["1", "0"], ["1", "0"]]},
+    }
+
+
+_E = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, err",
+    [
+        (("bounds", "1"), 0, "257cce1087ad9926b9f97a8ecd63482afd9f2f2437378ea07f3dd3a966e40b7f", ""),
+        (("bounds", "1", "--format", "json"), 0, "f290bd815d7f2d369d51c386237ad617bbc3a0e3d90d4baee8fffd97aca53bae", ""),
+        (("bounds", "2"), 0, "d8bdce67877d45faae193df5990a3fca25120c3c31066e59e5288b46577195c5", ""),
+        (("bounds", "2", "--sweep", "4"), 0, "61566556c0cb205f4b1cf7989eeb66994a38e80631e6050bd130192c80079c7e", ""),
+        (("bounds", "2", "--sweep", "4", "--format", "json"), 0, "78ee4da241c693f6076157879461efb8d37bb17d4ad1acca9f5fba5be3d8ff01", ""),
+        (("bounds", "2", "--sweep", "1"), 1, _E, "error: --sweep MAX_N must be >= 2\n"),
+        (("bounds", "0"), 1, _E, "error: n must be >= 1\n"),
+        (("bounds", "65"), 3, _E, "error: bounds are capped at n <= 64\n"),
+        (("vertices", "2", "--method", "both"), 0, "07f99be68200d13fa5e13fa89bce4bb9304706acfd9c08280576008c2e20a3da", ""),
+        (("vertices", "4"), 3, _E, "error: double description capped at n <= 3\n"),
+        (("check-vertex", "half_vertex.json"), 0, "ae981e1ea43aa9075e2998b52eff6c5b6cb48f0daf7cabbedb348059c1c3fbb5", ""),
+        (("check-vertex", "bad_shape.json"), 1, _E, "error: tensor JSON 'entries' must be an n x n x n array\n"),
+        (("check-vertex", "declared17.json"), 3, _E, "error: check-vertex is capped at n <= 16\n"),
+        (("check-vertex", "uniform3.json"), 4, "54246d371bb4206c5696f02b30d6dddf45797c19aae616cf12c051ae2f06f009", ""),
+        (("check-vertex", "zeros.json"), 5, "e1a90c00bdb60846609d738a007878273ed7d0b1afe3a553669cf0dedb887697", ""),
+        (("membership", "uniform3.json"), 0, "98c0b77ade7ad89a6156f9de415a935a5941a570656cfe7084694699412fdfa5", ""),
+        (("membership", "bad_shape.json"), 1, _E, "error: tensor JSON 'entries' must be an n x n x n array\n"),
+        (("membership", "uniform5.json"), 3, _E, "error: built-in generators need n <= 4\n"),
+        (("membership", "half_vertex.json"), 6, "12b7cc50d2cfdf3360869d322b7228fd36c2ba2368cbc71dc6fb1ba2b06bb7ec", ""),
+        (("membership", "perm3.json", "--generators", "perm3_list.json"), 0, "441553e97904833e57654cd62de6323d55c4bc578e9d1964e0426aebd5882953", ""),
+        (("membership", "uniform2.json", "--generators", "uniform3_list.json"), 1, _E, "error: generator dimension mismatch\n"),
+        (
+            ("membership", "uniform16.json", "--generators", "perm3_list.json"),
+            3,
+            _E,
+            "error: a membership LP tableau of 16797702 cells exceeds the cap of 4000000\n",
+        ),
+        (("membership", "uniform3.json", "--generators", "perm3_list.json"), 6, "5bd3e496530c7fac1c30cbca3cf40ae111938631f258ebacf536c9b0b0cbe18f", ""),
+        (("latin", "3"), 0, "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164", ""),
+        (("latin", "3", "--list"), 0, "e1fc970cb3f61d76134eeaa8c1018f1076b86eb9443289a1322729ed6026d1a1", ""),
+        (("latin", "6"), 3, _E, "error: Latin square counting capped at n <= 5\n"),
+        (("decompose", "half2.json"), 0, "d6c7c9aad0028170325ed4b426b91808fac013beefd4629dd2780d1fca58bdec", ""),
+        (("decompose", "short_row.json"), 1, _E, "error: matrix is not square\n"),
+        (("decompose", "declared65.json"), 3, _E, "error: decompose is capped at n <= 64\n"),
+        (("decompose", "row_sums.json"), 7, _E, "error: column 1 sums to 2, not 1\n"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v)[:8],
+)
+def test_command_line_is_pinned(capsys, asset_dir, argv, code, digest, err):
+    """Every reachable exit code of every command, with the digest of its
+    stdout and its exact stderr, on well-formed and singly-faulty inputs."""
+    for name, payload in _pinned_inputs().items():
+        (asset_dir / name).write_text(json.dumps(payload))
+    argv = [str(asset_dir / a) if a.endswith(".json") else a for a in argv]
+    got, out, got_err = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest(), got_err) == (code, digest, err)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(ValueError("x"), 1), (NotDoublyStochastic("x"), 7), (ResourceCapExceeded("x"), 3)],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("is_vertex", ("check-vertex", "uniform3.json")),
+        ("in_permutation_hull", ("membership", "uniform3.json")),
+        ("decompose", ("decompose", "identity2.json")),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_main_maps_each_exception_to_its_exit_code(capsys, monkeypatch, asset_dir, exc, code, name, argv):
+    """An exception from any command's library call becomes its exit code and
+    one error line in main, never a traceback."""
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, name, fail)
+    (asset_dir / "identity2.json").write_text(json.dumps({"n": 2, "rows": [["1", "0"], ["0", "1"]]}))
+    assert run(capsys, argv[0], str(asset_dir / argv[1])) == (code, "", "error: x\n")
+
+
+def test_generator_dimension_is_compared_before_parsing(capsys, tmp_path, fractions_built):
+    """A generator whose declared n differs from the target's is refused
+    before any of its entries is read: only the target's Fractions are built."""
+    target = tmp_path / "uniform2.json"
+    target.write_text(json.dumps(tensor_to_json(uniform_tensor(2))))
+    gens = tmp_path / "uniform80.json"
+    gens.write_text(json.dumps([{"n": 80, "entries": [[["1/80"] * 80] * 80] * 80}]))
+    _, target_only = fractions_built(tensor_from_json, tensor_to_json(uniform_tensor(2)))
+    result, built = fractions_built(run, capsys, "membership", str(target), "--generators", str(gens))
+    assert result == (1, "", "error: generator dimension mismatch\n")
+    assert built == target_only
+
+
+def test_help_lists_every_exit_code(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = [int(line.split()[0]) for line in out.splitlines() if line.startswith("    ") and line.split()[0].isdigit()]
+    assert listed == list(range(8))
+    limits = out[out.index("Work limits") :].splitlines()
+    assert len(limits) > 1 and max(map(len, limits)) <= 80  # the limits stay wrapped

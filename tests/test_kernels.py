@@ -159,12 +159,29 @@ def _fraction_solve(a_rows, free_cols):
     return xs
 
 
+def solve_for_free_columns(a_rows, free_cols):
+    """Solve A[:, F] x = 1 exactly with Python integers, the integer
+    reference for the oracle: (den, numerators over F) when the system has a
+    unique nonnegative solution, None otherwise. den is the final
+    elimination pivot; it may be negative, and then the numerators are
+    nonpositive."""
+    r = len(free_cols)
+    m = [[int(row[c]) for c in free_cols] + [1] for row in a_rows]
+    pivots, den = _kernels.reduce(m, r)
+    if len(pivots) < r or any(row[r] for row in m[r:]):
+        return None
+    nums = tuple(row[r] for row in m[:r])
+    if any((v > 0) != (den > 0) for v in nums if v != 0):
+        return None
+    return den, nums
+
+
 def test_solve_for_free_columns_matches_fraction_solve():
     rng = random.Random(31337)
     hp = build_lp_polytope(2)
     rows = [list(r) for r in hp.rows]
     for free in itertools.combinations(range(8), 7):
-        got = _kernels.solve_for_free_columns(rows, free)
+        got = solve_for_free_columns(rows, free)
         expected = _fraction_solve(rows, free)
         if expected is None:
             assert got is None
@@ -179,7 +196,7 @@ def test_solve_for_free_columns_matches_fraction_solve():
         a = [[rng.randrange(0, 2) for _ in range(nc)] for _ in range(m)]
         r = rng.randrange(1, min(m, nc) + 1)
         free = sorted(rng.sample(range(nc), r))
-        got = _kernels.solve_for_free_columns(a, free)
+        got = solve_for_free_columns(a, free)
         expected = _fraction_solve(a, free)
         if expected is None:
             assert got is None
@@ -223,7 +240,7 @@ def test_subset_limit_is_a_lexicographic_prefix(limit):
     expected = set()
     subsets = itertools.combinations(range(hp.num_vars), hp.rank)
     for free in itertools.islice(subsets, limit):
-        res = _kernels.solve_for_free_columns(rows, free)
+        res = solve_for_free_columns(rows, free)
         if res is not None:
             den, nums = res
             expected.add(_canonical_point(hp.num_vars, free, [Fraction(v, den) for v in nums]))
